@@ -9,7 +9,7 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass, field
 
-from .errors import InvalidField
+from .errors import InvalidField, InvalidGenerators
 from .gf import FieldElem, FieldSpec, field_make, is_square, subfield_embedding
 from .group import PermGroup, orbit_with_stabilizer
 from .perm import Permutation, read_generator_file
@@ -67,65 +67,11 @@ class ProjectiveLine:
     def moebius_perm(self, mat) -> Permutation:
         """Permutation induced by the matrix [[a,b],[c,d]] on row vectors."""
         a, b, c, d = mat
-        spec = self.spec
         imgs = []
         for x in self.finite:
             imgs.append(self.index(x * a + c, x * b + d))
         imgs.append(self.index(a, b))  # image of (1:0)
         return Permutation(imgs)
-
-
-def _mat_det(mat):
-    a, b, c, d = mat
-    return a * d - b * c
-
-
-def _mat_mul(m1, m2):
-    a, b, c, d = m1
-    e, f, g, h = m2
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _mat_inv(mat):
-    a, b, c, d = mat
-    det = _mat_det(mat)
-    di = det.inverse()
-    return (d * di, -b * di, -c * di, a * di)
-
-
-def unipotent_parameter_is_square(spec: FieldSpec, mat) -> bool:
-    """Class invariant of a unipotent in PSL(2,q): conjugate [[1,t],[0,1]]
-    into SL-normal form and test whether t is a square."""
-    a, b, c, d = mat
-    one, zero = spec.one, spec.zero
-    if _mat_det(mat) != one:
-        raise ValueError("matrix must have determinant 1")
-    tr = a + d
-    two = one + one
-    if tr == -two:
-        a, b, c, d = -a, -b, -c, -d
-        tr = a + d
-    if tr != two:
-        raise ValueError("matrix is not unipotent")
-    # fixed vector v of A (row convention: v A = v)
-    if not c.is_zero():
-        v = (c, d - one)
-    elif not b.is_zero():
-        v = (a - one, b)
-    else:
-        v = (one, zero) if a == one else (zero, one)
-    if v[0].is_zero() and v[1].is_zero():
-        raise ValueError("matrix is the identity")
-    # pick w with det [v; w] = 1
-    if not v[0].is_zero():
-        w = (zero, v[0].inverse())
-    else:
-        w = (-v[1].inverse(), zero)
-    # w A = w + t v
-    wa = (w[0] * a + w[1] * c, w[0] * b + w[1] * d)
-    dw = (wa[0] - w[0], wa[1] - w[1])
-    t = dw[0] / v[0] if not v[0].is_zero() else dw[1] / v[1]
-    return is_square(t)
 
 
 # -- PSL / PGL constructors -------------------------------------------------
@@ -204,7 +150,6 @@ def frobenius_on_projline(q: int, i: int = 1) -> Permutation:
     """The permutation of PG(1,q) induced by x -> x^(p^i)."""
     p, k = _factor_prime_power(q)
     spec = field_make(p, k)
-    line = ProjectiveLine(spec)
     e = p**(i % k)
     imgs = [(spec.from_int(n) ** e).to_int() for n in range(spec.size)]
     imgs.append(spec.size)
@@ -267,6 +212,10 @@ def mathieu_group(n: int) -> PermGroup:
     with importlib.resources.as_file(ref) as path:
         degree, gens = read_generator_file(path)
     G = PermGroup(gens, degree)
+    if G.order() != _MATHIEU_ORDERS[n]:
+        raise InvalidGenerators(
+            "shipped M%d generators give order %d, expected %d" % (n, G.order(), _MATHIEU_ORDERS[n])
+        )
     return _with_recipe(G, GroupRecipe("M%d" % n, "from-file", {"n": n}))
 
 

@@ -23,7 +23,6 @@ from .autsearch import (
     normalizing_map_check,
 )
 from .construct import (
-    CosetAction,
     Method2Design,
     coset_action,
     method1_design,
@@ -40,10 +39,9 @@ from .design import (
 )
 from .group import (
     PermGroup,
-    centralizer,
     element_of_order,
     find_imprimitivity,
-    minimal_block_system,
+    image_indices,
     orbit_with_stabilizer,
     orbit_with_transversal,
     subgroup_closure,
@@ -129,14 +127,12 @@ def class_stabilizer_report(
     design: Method2Design, x_index: int = 0, compute_h: bool = True
 ) -> StabReport:
     G = design.G
-    x = design.class_elems[x_index]
     R = reduce_design(design.design, design.params)
     i_class = R.classes[R.class_of[x_index]]
-    i_elems = [design.class_elems[i] for i in i_class]
     _, S = orbit_with_stabilizer(G, tuple(i_class), design.index_set_action())
-    C = centralizer(G, x)
+    C, *i_centralizers = design.point_centralizers([x_index, *i_class])
     c_in_s = all(g in S for g in C.gens)
-    xorbit, _ = orbit_with_transversal(S, x_index, design.index_action())
+    xorbit = orbit_with_transversal(S, x_index, design.index_action())[0]
     report = StabReport(
         i_size=len(i_class),
         centralizer_order=C.order(),
@@ -154,9 +150,7 @@ def class_stabilizer_report(
         )
         report.class_meet_ok = meet == list(i_class)
     if compute_h:
-        h_gens = []
-        for y in i_elems:
-            h_gens.extend(centralizer(G, y).gens)
+        h_gens = [h for Cy in i_centralizers for h in Cy.gens]
         H = subgroup_closure(G, h_gens)
         report.h_order = H.order()
         report.h_normal = _is_normal(H, S.gens)
@@ -224,26 +218,14 @@ class MathieuRow:
     claims: list = field(default_factory=list)
 
 
-def _reduced_point_action(design: Method2Design, R):
-    """The permutations that the group generators induce on the classes of
-    the reduction."""
-    reps = [cls[0] for cls in R.classes]
-    act = design.index_action()
-    out = []
-    for g in design.G.gens:
-        ginv = g.inverse()
-        out.append(Permutation(R.class_of[act(r, g, ginv)] for r in reps))
-    return out
-
-
 def _dual_block_imprimitivity(design: Method2Design, R, stab: PermGroup, cap: int = 60):
     """A nontrivial invariant partition of the dual block set (equivalently
     of the reduced points), found among the smallest stabilizer suborbits."""
-    gens = _reduced_point_action(design, R)
-    act = design.index_action()
     reps = [cls[0] for cls in R.classes]
+    gens = [Permutation(R.class_of[col[r]] for r in reps) for col in design.class_images]
+    elems, idx = design.class_elems, design.index_of
     stab_gens = [
-        Permutation(R.class_of[act(r, s, s.inverse())] for r in reps)
+        Permutation(R.class_of[j] for j in image_indices(elems, idx, "conj", s, s.inverse(), reps))
         for s in stab.gens
     ]
     n = len(reps)
@@ -302,7 +284,7 @@ def run_mathieu_row(
         # budget ran out: fall back to structural evidence — the group acts
         # on the dual by automorphisms, transitively, so the (unknown) full
         # automorphism order is divisible by the group order
-        induced = _induced_dual_point_gens(design)
+        induced = [Permutation(col) for col in design.block_images]
         embeds = all(is_design_automorphism(T, pi) for pi in induced)
         combined = PermGroup(aut.point_gens + induced, tparams.v)
         row.claims.extend(
@@ -317,18 +299,6 @@ def run_mathieu_row(
             ]
         )
     return row
-
-
-def _induced_dual_point_gens(design: Method2Design):
-    """Permutations the group generators induce on the dual points (one per
-    block of the class design, in block order)."""
-    index = {blk: j for j, blk in enumerate(design.design.blocks)}
-    act = design.index_set_action()
-    out = []
-    for g in design.G.gens:
-        ginv = g.inverse()
-        out.append(Permutation(index[act(blk, g, ginv)] for blk in design.design.blocks))
-    return out
 
 
 _MATHIEU_EXPECTED = {

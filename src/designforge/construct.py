@@ -4,7 +4,7 @@ and conjugacy-class blocks cut out by maximal-subgroup conjugates
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 
 from .design import DesignParams, IncidenceStructure, validate_1design
@@ -12,7 +12,10 @@ from .errors import InternalInconsistency, OrbitOverflow
 from .group import (
     DEFAULT_ORBIT_CAP,
     PermGroup,
+    image_indices,
+    orbit_set_action,
     orbit_with_transversal,
+    schreier_stabilizer,
 )
 from .perm import Permutation
 
@@ -42,26 +45,19 @@ class CosetAction:
     point_sets: list  # frozensets of permutations; index 0 is M itself
     index_of: dict
 
+    def _images(self, x: Permutation):
+        return image_indices(
+            self.point_sets, self.index_of, "elemset", x, x.inverse(), range(len(self.point_sets))
+        )
+
     def induced_perm(self, phi: Permutation):
         """Point permutation induced by conjugation by phi, or None when phi
         does not permute the conjugates of M."""
-        phinv = phi.inverse()
-        imgs = []
-        for s in self.point_sets:
-            img = frozenset(x.conjugate(phi, phinv) for x in s)
-            j = self.index_of.get(img)
-            if j is None:
-                return None
-            imgs.append(j)
-        return Permutation(imgs)
+        imgs = self._images(phi)
+        return None if None in imgs else Permutation(imgs)
 
     def fixed_point_count(self, g: Permutation) -> int:
-        ginv = g.inverse()
-        count = 0
-        for s in self.point_sets:
-            if frozenset(x.conjugate(g, ginv) for x in s) == s:
-                count += 1
-        return count
+        return sum(i == j for i, j in enumerate(self._images(g)))
 
 
 def coset_action(G: PermGroup, M: PermGroup, elem_cap: int = 10**4, cap=DEFAULT_ORBIT_CAP) -> CosetAction:
@@ -70,14 +66,8 @@ def coset_action(G: PermGroup, M: PermGroup, elem_cap: int = 10**4, cap=DEFAULT_
     if M.order() > elem_cap:
         raise OrbitOverflow("subgroup of order %d too large to enumerate" % M.order())
     base = frozenset(M.elements())
-    orbit, _ = orbit_with_transversal(G, base, "elemset", cap=cap)
-    index_of = {s: i for i, s in enumerate(orbit)}
-    gens = []
-    for g in G.gens:
-        ginv = g.inverse()
-        imgs = [index_of[frozenset(x.conjugate(g, ginv) for x in s)] for s in orbit]
-        gens.append(Permutation(imgs))
-    image = PermGroup(gens, len(orbit))
+    orbit, _, index_of, images = orbit_with_transversal(G, base, "elemset", cap=cap)
+    image = PermGroup([Permutation(col) for col in images], len(orbit))
     return CosetAction(parent=G, subgroup=M, group=image, point_sets=orbit, index_of=index_of)
 
 
@@ -117,7 +107,7 @@ def method1_design(
     if orbit_index >= len(orbits):
         raise ValueError("no stabilizer orbit with that selector")
     delta = tuple(orbits[orbit_index])
-    block_orbit, _ = orbit_with_transversal(G, delta, "set")
+    block_orbit = orbit_with_transversal(G, delta, "set")[0]
     if len(block_orbit) != G.degree:
         raise InternalInconsistency(
             "expected %d distinct blocks, found %d" % (G.degree, len(block_orbit))
@@ -142,42 +132,41 @@ class Method2Design:
     class_elems: list
     index_of: dict
     class_transversal: dict  # element -> u with g^u = element
+    class_images: list  # per generator of G: class index -> index of its conjugate
     base_block: tuple
     block_transversal: dict  # block tuple -> conjugator from the base block
+    block_images: list  # per generator of G: block index -> index of its image
 
     def index_action(self):
         """Action rule on single class indices, for orbit machinery."""
         elems, idx = self.class_elems, self.index_of
 
         def apply(value, x, xinv):
-            return idx[elems[value].conjugate(x, xinv)]
+            return image_indices(elems, idx, "conj", x, xinv, (value,))[0]
 
         return apply
 
     def index_set_action(self):
-        """Action rule on sorted tuples of class indices."""
-        elems, idx = self.class_elems, self.index_of
-
-        def apply(value, x, xinv):
-            return tuple(sorted(idx[elems[i].conjugate(x, xinv)] for i in value))
-
-        return apply
+        """Action rule on sorted tuples of class indices; the generators of G
+        read the class table."""
+        return orbit_set_action(self.class_elems, self.index_of, "conj", self.G.gens, self.class_images)
 
     def induced_point_perm(self, phi: Permutation):
         """Point map induced by conjugation by phi; None if the class is not
         preserved."""
-        phinv = phi.inverse()
-        imgs = []
-        for h in self.class_elems:
-            j = self.index_of.get(h.conjugate(phi, phinv))
-            if j is None:
-                return None
-            imgs.append(j)
-        return Permutation(imgs)
+        elems = self.class_elems
+        imgs = image_indices(elems, self.index_of, "conj", phi, phi.inverse(), range(len(elems)))
+        return None if None in imgs else Permutation(imgs)
 
     def conjugator_to(self, point: int) -> Permutation:
         """u in G with g^u = the class element at the given point index."""
         return self.class_transversal[self.class_elems[point]]
+
+    def point_centralizers(self, points):
+        """C_G of the class elements at the given indices: C_G(g) comes from
+        the stored class orbit, and C_G(g^u) = C_G(g)^u."""
+        C = schreier_stabilizer(self.G, self.class_elems, self.class_transversal, self.class_images)
+        return [C.conjugate_group(self.conjugator_to(i)) for i in points]
 
 
 def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT_CAP) -> Method2Design:
@@ -187,29 +176,18 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
         raise ValueError("g must be a nonidentity element of M")
     if g not in M:
         raise ValueError("g is not a member of M")
-    class_elems, trans = orbit_with_transversal(G, g, "conj", cap=cap)
-    index_of = {h: i for i, h in enumerate(class_elems)}
+    class_elems, trans, index_of, class_images = orbit_with_transversal(G, g, "conj", cap=cap)
     base_block = tuple(i for i, h in enumerate(class_elems) if h in M)
     if not base_block:
         raise InternalInconsistency("class does not meet M")
-
-    elems = class_elems
-    gens = [(x, x.inverse()) for x in G.gens]
-    block_trans = {base_block: Permutation.identity(G.degree)}
-    queue = [base_block]
-    for blk in queue:
-        rep = block_trans[blk]
-        for x, xinv in gens:
-            img = tuple(sorted(index_of[elems[i].conjugate(x, xinv)] for i in blk))
-            if img not in block_trans:
-                block_trans[img] = rep * x
-                queue.append(img)
+    on_blocks = orbit_set_action(class_elems, index_of, "conj", G.gens, class_images)
+    blocks, block_trans, _, block_images = orbit_with_transversal(G, base_block, on_blocks, cap=cap)
     expected_b = G.order() // M.order()
-    if len(queue) != expected_b:
+    if len(blocks) != expected_b:
         raise InternalInconsistency(
-            "expected %d blocks (= |G:M|), found %d" % (expected_b, len(queue))
+            "expected %d blocks (= |G:M|), found %d" % (expected_b, len(blocks))
         )
-    D = IncidenceStructure(len(class_elems), queue)
+    D = IncidenceStructure(len(class_elems), blocks)
     params = validate_1design(D)
     if params.k != len(base_block):
         raise InternalInconsistency("block size changed along the orbit")
@@ -222,8 +200,10 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
         class_elems=class_elems,
         index_of=index_of,
         class_transversal=trans,
+        class_images=class_images,
         base_block=base_block,
         block_transversal=block_trans,
+        block_images=block_images,
     )
 
 

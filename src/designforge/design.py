@@ -263,6 +263,17 @@ def read_design(path):
     D = IncidenceStructure(v, blocks)
     dp = None
     if params is not None:
+        if len(params) != 3:
+            raise ValueError("expected a 't k lam' params line, got %r" % (params,))
         t, k, lam = params
         dp = DesignParams(t=t, v=v, b=b, k=k, lam=lam)
+        try:
+            ok = all(len(blk) == k for blk in D.blocks) and t_design_lambda(D, t) == lam
+        except NotTDesign:
+            ok = False
+        if not ok:
+            raise ValueError(
+                "params line %d %d %d does not match the %d blocks"
+                " (or the header's block count is wrong)" % (t, k, lam, b)
+            )
     return D, dp

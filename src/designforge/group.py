@@ -8,7 +8,6 @@ therefore always produce identical chains.
 
 from __future__ import annotations
 
-import math
 from random import Random
 
 from .errors import (
@@ -289,73 +288,82 @@ def act(value, kind, g: Permutation, ginv: Permutation = None):
     raise ValueError("unknown action kind %r" % kind)
 
 
-class ActionObject:
-    """A hashable value paired with its action rule."""
-
-    __slots__ = ("value", "kind")
-
-    def __init__(self, value, kind):
-        if kind == "set":
-            value = tuple(sorted(value))
-        self.value = value
-        self.kind = kind
-
-    def apply(self, g, ginv=None):
-        return ActionObject(act(self.value, self.kind, g, ginv), self.kind)
-
-    def __hash__(self):
-        return hash((self.kind, self.value))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ActionObject)
-            and self.kind == other.kind
-            and self.value == other.value
-        )
-
-
 def orbit_with_transversal(G: PermGroup, value, kind, cap=DEFAULT_ORBIT_CAP):
-    """Orbit of value under G plus coset representatives.
+    """Orbit of value under G, with coset representatives and generator images.
 
     Returns (orbit list in discovery order, dict value -> perm u with
-    value^u = that orbit element).
+    value^u = that orbit element, dict value -> its orbit index, and one
+    tuple per generator of G holding the orbit index of each orbit element's
+    image under that generator).
     """
     gens = [(g, g.inverse()) for g in G.gens]
     trans = {value: Permutation.identity(G.degree)}
+    index = {value: 0}
+    images = [[] for _ in gens]
     queue = [value]
     for v in queue:
         rep = trans[v]
-        for g, ginv in gens:
+        for (g, ginv), col in zip(gens, images):
             img = act(v, kind, g, ginv)
-            if img not in trans:
-                if len(trans) >= cap:
+            j = index.get(img)
+            if j is None:
+                if len(queue) >= cap:
                     raise OrbitOverflow("orbit exceeds cap %d" % cap)
+                j = index[img] = len(queue)
                 trans[img] = rep * g
                 queue.append(img)
-    return queue, trans
+            col.append(j)
+    return queue, trans, index, [tuple(col) for col in images]
+
+
+def image_indices(orbit, index, kind, x: Permutation, xinv: Permutation, points):
+    """Orbit indices of the images under x of the orbit elements at the given
+    indices, None where an image leaves the orbit.
+
+    This applies x afresh; images under the generators of the orbit's group
+    are already in the tables orbit_with_transversal returns.
+    """
+    return [index.get(act(orbit[i], kind, x, xinv)) for i in points]
+
+
+def orbit_set_action(orbit, index, kind, gens, images):
+    """Action rule on sorted tuples of orbit indices: the generators gens
+    read their image tables, any other element goes through image_indices."""
+    columns = dict(zip(gens, images))
+
+    def apply(value, x, xinv):
+        col = columns.get(x)
+        if col is None:
+            return tuple(sorted(image_indices(orbit, index, kind, x, xinv, value)))
+        return tuple(sorted(map(col.__getitem__, value)))
+
+    return apply
 
 
 def orbit_with_stabilizer(G: PermGroup, value, kind, cap=DEFAULT_ORBIT_CAP):
-    """Orbit and stabilizer; |orbit| * |stab| = |G| always holds.
+    """Orbit and stabilizer; |orbit| * |stab| = |G| always holds."""
+    orbit, trans, _, images = orbit_with_transversal(G, value, kind, cap=cap)
+    return orbit, schreier_stabilizer(G, orbit, trans, images)
+
+
+def schreier_stabilizer(G: PermGroup, orbit, trans, images) -> PermGroup:
+    """Stabilizer of orbit[0], from its orbit as orbit_with_transversal returns it.
 
     The stabilizer is generated by sifted Schreier generators; generation
     stops as soon as the orbit-stabilizer product identity certifies
     completeness.
     """
-    orbit, trans = orbit_with_transversal(G, value, kind, cap=cap)
     target = G.order() // len(orbit)
     if target * len(orbit) != G.order():
         raise AssertionError("orbit size does not divide group order")
     stab_gens = []
     stab = PermGroup([], G.degree)
     if target > 1:
-        gens = [(g, g.inverse()) for g in G.gens]
         done = False
-        for v in orbit:
+        for i, v in enumerate(orbit):
             rep = trans[v]
-            for g, ginv in gens:
-                img = act(v, kind, g, ginv)
-                schreier = rep * g * trans[img].inverse()
+            for g, col in zip(G.gens, images):
+                schreier = rep * g * trans[orbit[col[i]]].inverse()
                 if schreier.is_identity() or schreier in stab:
                     continue
                 stab_gens.append(schreier)
@@ -367,7 +375,7 @@ def orbit_with_stabilizer(G: PermGroup, value, kind, cap=DEFAULT_ORBIT_CAP):
                 break
         if stab.order() != target:
             raise AssertionError("Schreier generation did not reach stabilizer order")
-    return orbit, stab
+    return stab
 
 
 def centralizer(G: PermGroup, g: Permutation, cap=DEFAULT_ORBIT_CAP) -> PermGroup:
@@ -377,8 +385,7 @@ def centralizer(G: PermGroup, g: Permutation, cap=DEFAULT_ORBIT_CAP) -> PermGrou
 
 
 def conjugacy_class(G: PermGroup, g: Permutation, cap=DEFAULT_ORBIT_CAP):
-    orbit, _ = orbit_with_transversal(G, g, "conj", cap=cap)
-    return orbit
+    return orbit_with_transversal(G, g, "conj", cap=cap)[0]
 
 
 def element_of_order(G: PermGroup, m: int, class_tag=None, seed=0, budget=4000):

@@ -2,6 +2,8 @@
 
 from itertools import combinations
 
+from designforge.perm import Permutation
+
 
 def oracle_aut_order(D):
     """Backtracking point-image assignment, independent of the search code.
@@ -44,3 +46,50 @@ def oracle_aut_order(D):
 
     extend([], set())
     return count
+
+
+# -- Method 2 actions by direct conjugation, the reference for the orbit tables
+
+
+def conjugate_index_set(design, value, x, xinv):
+    """The sorted class-index tuple value, conjugated by x element by element."""
+    elems, idx = design.class_elems, design.index_of
+    return tuple(sorted(idx[elems[i].conjugate(x, xinv)] for i in value))
+
+
+def block_orbit_bfs(design):
+    """Method 2 block list and block transversal by the hand-written
+    breadth-first search, conjugating every block element by every generator."""
+    G = design.G
+    trans = {design.base_block: G.identity()}
+    queue = [design.base_block]
+    for blk in queue:
+        rep = trans[blk]
+        for x in G.gens:
+            img = conjugate_index_set(design, blk, x, x.inverse())
+            if img not in trans:
+                trans[img] = rep * x
+                queue.append(img)
+    return queue, trans
+
+
+def class_table_by_conjugation(design):
+    """Per generator of G, the class index of each class element's conjugate."""
+    elems, idx = design.class_elems, design.index_of
+    out = []
+    for g in design.G.gens:
+        ginv = g.inverse()
+        out.append(tuple(idx[h.conjugate(g, ginv)] for h in elems))
+    return out
+
+
+def induced_dual_point_gens(design):
+    """Permutations the generators of G induce on the dual points (the blocks
+    of the class design, in block order), by conjugation."""
+    index = {blk: j for j, blk in enumerate(design.design.blocks)}
+    out = []
+    for g in design.G.gens:
+        ginv = g.inverse()
+        out.append(Permutation(index[conjugate_index_set(design, blk, g, ginv)]
+                               for blk in design.design.blocks))
+    return out

@@ -1,0 +1,76 @@
+"""The Method 2 orbit tables against direct conjugation (tests/oracles.py):
+same block order, same transversals, same generator images, same
+centralizers."""
+
+import pytest
+
+from designforge.atlas import build_psl2, embed_pgl2
+from designforge.casestudies import mathieu_design
+from designforge.construct import method2_design
+from designforge.design import reduce_design
+from designforge.group import centralizer, element_of_order
+from designforge.perm import Permutation
+from oracles import (
+    block_orbit_bfs,
+    class_table_by_conjugation,
+    conjugate_index_set,
+    induced_dual_point_gens,
+)
+
+
+def psl2_9_pgl2_squared():
+    G = build_psl2(9)
+    M = embed_pgl2(3, "squared")
+    return method2_design(G, M, element_of_order(M, 2))
+
+
+DESIGNS = {
+    "psl2-9-pgl2-squared-ord2": psl2_9_pgl2_squared,
+    "m22-point-stabilizer-ord2": lambda: mathieu_design(22, 2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(DESIGNS))
+def design(request):
+    return DESIGNS[request.param]()
+
+
+def test_block_order_and_transversal_match_bfs(design):
+    blocks, trans = block_orbit_bfs(design)
+    assert design.design.blocks == blocks
+    assert list(design.block_transversal.items()) == list(trans.items())
+
+
+def test_class_table_matches_conjugation(design):
+    assert design.class_images == class_table_by_conjugation(design)
+
+
+def test_block_table_matches_conjugation(design):
+    blocks = design.design.blocks
+    index = {blk: j for j, blk in enumerate(blocks)}
+    expected = [
+        tuple(index[conjugate_index_set(design, blk, g, g.inverse())] for blk in blocks)
+        for g in design.G.gens
+    ]
+    assert design.block_images == expected
+    assert [Permutation(col) for col in design.block_images] == induced_dual_point_gens(design)
+
+
+def test_index_set_action_generators_and_others_agree(design):
+    act = design.index_set_action()
+    u = design.conjugator_to(len(design.class_elems) - 1)
+    for x in (*design.G.gens, u):
+        xinv = x.inverse()
+        for blk in design.design.blocks[:5]:
+            assert act(blk, x, xinv) == conjugate_index_set(design, blk, x, xinv)
+
+
+def test_point_centralizers_match_centralizer(design):
+    R = reduce_design(design.design, design.params)
+    i_class = R.classes[R.class_of[0]]
+    cents = design.point_centralizers(i_class)
+    for i, C in zip(i_class, cents):
+        y = design.class_elems[i]
+        assert C.order() == centralizer(design.G, y).order()
+        assert all(h.commutes_with(y) for h in C.gens)
+

@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from designforge import atlas
 from designforge.atlas import (
     build_alternating,
     build_pgammal2,
@@ -16,7 +17,7 @@ from designforge.atlas import (
     point_stabilizer_subgroup,
     psl2_order,
 )
-from designforge.errors import InvalidField
+from designforge.errors import InvalidField, InvalidGenerators
 from designforge.group import conjugacy_class, element_of_order
 from designforge.perm import write_generator_file
 
@@ -124,6 +125,12 @@ def test_mathieu_point_stabilizer_chain():
 def test_mathieu_rejects_unknown_degree():
     with pytest.raises(ValueError):
         mathieu_group(12)
+
+
+def test_mathieu_checks_shipped_generators(monkeypatch):
+    monkeypatch.setitem(atlas._MATHIEU_ORDERS, 22, 2 * 443520)
+    with pytest.raises(InvalidGenerators):
+        mathieu_group(22)
 
 
 def test_mathieu_involution_class_size():

@@ -146,3 +146,21 @@ def test_mathieu_single_row_text(capsys):
     code, out = run(capsys, "mathieu", "--n", "22", "--ord", "2", "--format", "text")
     assert code == 0
     assert "887040" in out and "5760" in out
+
+
+def test_params_line_contradicting_blocks_is_input_error(tmp_path, capsys):
+    # a 1-(4,3,3) design declared as 1-(4,3,9)
+    path = tmp_path / "bad.design"
+    path.write_text("design 4 4\n1 3 9\n0 1 2\n1 2 3\n0 2 3\n0 1 3\n")
+    assert main(["aut", "--design", str(path)]) == 2
+    assert "params line" in capsys.readouterr().err
+    path.write_text("design 4 4\n1 3 3\n0 1 2\n1 2 3\n0 2 3\n0 1 3\n")
+    assert main(["aut", "--design", str(path)]) == 0
+
+
+def test_one_block_too_many_is_input_error(tmp_path, capsys):
+    # the header declares 3 blocks, so the first of 4 is read as a params line
+    path = tmp_path / "extra.design"
+    path.write_text("design 4 3\n0 1 2\n1 2 3\n0 2 3\n0 1 3\n")
+    assert main(["aut", "--design", str(path)]) == 2
+    assert "params line" in capsys.readouterr().err

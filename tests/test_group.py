@@ -118,10 +118,12 @@ def test_random_element_is_member_and_deterministic():
 
 def test_orbit_with_transversal_maps_base():
     G = sym(5)
-    orbit, trans = orbit_with_transversal(G, 0, "point")
+    orbit, trans, index, images = orbit_with_transversal(G, 0, "point")
     assert sorted(orbit) == list(range(5))
     for pt, u in trans.items():
         assert u.images[0] == pt
+    assert [index[pt] for pt in orbit] == list(range(5))
+    assert images == [tuple(index[g.images[pt]] for pt in orbit) for g in G.gens]
 
 
 def test_orbit_stabilizer_identity_point_action():
