@@ -26,7 +26,6 @@ from .atlas import (
 from .autsearch import (
     AutResult,
     aut_group,
-    brute_force_aut_order,
     is_design_automorphism,
     kernel_generators,
     lift_test_method1,
@@ -80,7 +79,6 @@ from .group import (
     element_of_order,
     find_imprimitivity,
     minimal_block_system,
-    naive_closure,
     orbit_with_stabilizer,
     orbit_with_transversal,
     subgroup_closure,

@@ -225,7 +225,7 @@ def mathieu_group(n: int) -> PermGroup:
 def point_stabilizer_subgroup(G: PermGroup, pt: int) -> PermGroup:
     """Stabilizer of a point; maximal when G is primitive on its domain."""
     S = G.point_stabilizer(pt)
-    name = getattr(G, "recipe", None)
+    name = G.recipe
     S.recipe = GroupRecipe(
         "Stab(%s, %d)" % (name.name if name else "G", pt),
         "point-stabilizer",
@@ -240,7 +240,7 @@ def normalizer_of_cyclic(G: PermGroup, g: Permutation, cap=10**4) -> PermGroup:
     if len(powers) > cap:
         raise ValueError("cyclic subgroup too large")
     _, stab = orbit_with_stabilizer(G, frozenset(powers), "elemset")
-    name = getattr(G, "recipe", None)
+    name = G.recipe
     stab.recipe = GroupRecipe(
         "N(%s, <ord-%d>)" % (name.name if name else "G", g.order()),
         "normalizer-of-cyclic",

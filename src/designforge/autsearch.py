@@ -36,10 +36,6 @@ class AutResult:
     complete: bool
     nodes: int
 
-    @property
-    def group(self) -> PermGroup:
-        return PermGroup(self.point_gens, self._v) if self.point_gens else PermGroup([], self._v)
-
 
 class _Budget(Exception):
     pass
@@ -79,8 +75,9 @@ class _Search:
         self.first_invs = {}
         self.first_base = []
         self.first_leaf = None
-        self.gens = []
-        self._group = None
+        # automorphisms found so far; at the first leaf it takes the first
+        # path as its base, so each depth's stabilizer is a level of its chain
+        self.group = PermGroup([], self.v)
         self._stab_cache = {}
 
     # -- refinement ---------------------------------------------------------
@@ -138,6 +135,7 @@ class _Search:
     def _leaf(self, pcolor, dev_level):
         if self.first_leaf is None:
             self.first_leaf = np.argsort(pcolor)  # color -> point
+            self.group = PermGroup([], self.v, base_hint=self.first_base)
             return None
         images = [0] * self.v
         cur = np.argsort(pcolor)
@@ -145,31 +143,21 @@ class _Search:
             images[int(self.first_leaf[c])] = int(cur[c])
         perm = Permutation(images)
         if not perm.is_identity() and self._is_automorphism(images):
-            self.gens.append(perm)
-            self._group = None
-            self._stab_cache.clear()
+            if self.group.extend(perm):
+                self._stab_cache.clear()
             return dev_level
         return None
 
     def _orbit_reps_filter(self, depth):
         """Orbits of the point set under automorphisms fixing the first
         `depth` base points; used to skip equivalent candidates."""
-        key = (depth, len(self.gens))
-        cached = self._stab_cache.get(key)
-        if cached is not None:
-            return cached
-        if not self.gens:
-            rep = list(range(self.v))
-        else:
-            K = self._group
-            if K is None:
-                K = self._group = PermGroup(self.gens, self.v)
-            S = K.pointwise_stabilizer(self.first_base[:depth])
+        rep = self._stab_cache.get(depth)
+        if rep is None:
             rep = [0] * self.v
-            for orb in S.orbits():
+            for orb in self.group.pointwise_stabilizer(self.first_base[:depth]).orbits():
                 for x in orb:
                     rep[x] = orb[0]
-        self._stab_cache[key] = rep
+            self._stab_cache[depth] = rep
         return rep
 
     # -- the backtrack tree -------------------------------------------------
@@ -226,14 +214,14 @@ def aut_group(D: IncidenceStructure, budget: int = 10**6) -> AutResult:
         search.run()
     except _Budget:
         complete = False
-    point_gens = search.gens
-    K = PermGroup(point_gens, D.v)
+    K = search.group
+    point_gens = list(K.gens)
     gens = [_extend_to_blocks(search, g) for g in point_gens]
     block_transitive = False
     if point_gens:
         full = PermGroup(gens, D.v + search.nb)
         block_transitive = len(full.orbit(D.v)) == search.nb
-    res = AutResult(
+    return AutResult(
         generators=gens,
         point_gens=point_gens,
         order=K.order(),
@@ -242,28 +230,6 @@ def aut_group(D: IncidenceStructure, budget: int = 10**6) -> AutResult:
         complete=complete,
         nodes=search.nodes,
     )
-    res._v = D.v
-    return res
-
-
-def brute_force_aut_order(D: IncidenceStructure) -> int:
-    """Count all point permutations preserving the block multiset.
-
-    Exponential; an independent check for small structures.
-    """
-    from itertools import permutations
-
-    mult = D.block_multiset()
-    count = 0
-    for images in permutations(range(D.v)):
-        ok = True
-        for blk, m in mult.items():
-            if mult.get(tuple(sorted(images[p] for p in blk))) != m:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 # -- the block-fixing kernel and the quotient identity -----------------------

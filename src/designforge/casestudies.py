@@ -103,7 +103,7 @@ def _block_intersection_group(design: Method2Design, x_index: int):
     """
     G, M = design.G, design.M
     x = design.class_elems[x_index]
-    recipe = getattr(M, "recipe", None)
+    recipe = M.recipe
     if recipe is not None and recipe.kind == "point-stabilizer":
         A = G.pointwise_stabilizer(x.fixed_points())
         return A, "pointwise-stabilizer"

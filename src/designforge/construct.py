@@ -44,6 +44,7 @@ class CosetAction:
     group: PermGroup  # image of G in Sym(index)
     point_sets: list  # frozensets of permutations; index 0 is M itself
     index_of: dict
+    transversal: dict  # point set -> u in G with M^u = that set
 
     def _images(self, x: Permutation):
         return image_indices(
@@ -57,7 +58,10 @@ class CosetAction:
         return None if None in imgs else Permutation(imgs)
 
     def fixed_point_count(self, g: Permutation) -> int:
-        return sum(i == j for i, j in enumerate(self._images(g)))
+        """The number of conjugates M^u containing g, i.e. of u with
+        u g u^-1 in M: the points g fixes when M is self-normalizing, as a
+        maximal subgroup of a simple group is."""
+        return sum(g.conjugate(u.inverse(), u) in self.subgroup for u in self.transversal.values())
 
 
 def coset_action(G: PermGroup, M: PermGroup, elem_cap: int = 10**4, cap=DEFAULT_ORBIT_CAP) -> CosetAction:
@@ -66,9 +70,11 @@ def coset_action(G: PermGroup, M: PermGroup, elem_cap: int = 10**4, cap=DEFAULT_
     if M.order() > elem_cap:
         raise OrbitOverflow("subgroup of order %d too large to enumerate" % M.order())
     base = frozenset(M.elements())
-    orbit, _, index_of, images = orbit_with_transversal(G, base, "elemset", cap=cap)
+    orbit, trans, index_of, images = orbit_with_transversal(G, base, "elemset", cap=cap)
     image = PermGroup([Permutation(col) for col in images], len(orbit))
-    return CosetAction(parent=G, subgroup=M, group=image, point_sets=orbit, index_of=index_of)
+    return CosetAction(
+        parent=G, subgroup=M, group=image, point_sets=orbit, index_of=index_of, transversal=trans
+    )
 
 
 # -- Method 1 ---------------------------------------------------------------
@@ -213,7 +219,7 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
 def perm_char_value(G: PermGroup, M: PermGroup, g: Permutation, coset: CosetAction = None) -> int:
     """1_M^G(g): the number of conjugates of M containing g, counted as
     fixed points of g on the cosets of M."""
-    recipe = getattr(M, "recipe", None)
+    recipe = M.recipe
     if coset is None and recipe is not None and recipe.kind == "point-stabilizer":
         # the coset action is the natural action
         if not G.is_transitive():

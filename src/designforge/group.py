@@ -1,9 +1,10 @@
 """Permutation groups with a base and strong generating set.
 
-The Schreier-Sims chain is built deterministically: base points are chosen
-greedily as the first point moved by each new strong generator, orbits are
-expanded breadth-first in insertion order.  Identical generator lists
-therefore always produce identical chains.
+A group's Schreier-Sims chain grows only through _Chain.extend, one
+generator at a time.  The chain is built deterministically: base points are
+chosen greedily as the first point moved by each new strong generator,
+orbits are expanded breadth-first in insertion order.  Identical generator
+lists therefore always produce identical chains.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ class _Chain:
         self.base = []
         self.level_gens = []  # level i: generators of the stabilizer of base[:i]
         self.transversals = []  # level i: point -> perm mapping base[i] to point
-        self._build([g for g in gens if not g.is_identity()], list(base_hint))
+        for b in base_hint:
+            self._new_level(b)
+        for g in gens:
+            self.extend(g)
 
     def _first_moved(self, g):
         for i, j in enumerate(g.images):
             if i != j:
                 return i
         raise AssertionError("identity has no moved point")
-
-    def _fixes_prefix(self, g, upto):
-        return all(g.images[b] == b for b in self.base[:upto])
 
     def _orbit(self, level):
         """Recompute the fundamental orbit and transversal of a level."""
@@ -57,12 +58,12 @@ class _Chain:
     def _new_level(self, point):
         self.base.append(point)
         self.level_gens.append([])
-        self.transversals.append({})
+        self.transversals.append({point: Permutation.identity(self.degree)})
 
     def sift(self, g, start=0):
         """Strip g through the chain; return (residue, failure level).
 
-        The residue is the identity and the level is len(base) iff g is a
+        The residue is the identity (and the level is len(base)) iff g is a
         member of the group generated below `start`.
         """
         h = g
@@ -76,62 +77,52 @@ class _Chain:
             h = h * rep.inverse()
         return h, len(self.base)
 
-    def _build(self, gens, base_hint):
-        for b in base_hint:
-            self._new_level(b)
-        for g in gens:
-            level = 0
-            while level < len(self.base) and g.images[self.base[level]] == self.base[level]:
-                level += 1
-            if level == len(self.base):
-                self._new_level(self._first_moved(g))
-            for j in range(level + 1):
-                self.level_gens[j].append(g)
-        for level in range(len(self.base)):
-            self._orbit(level)
+    def extend(self, g) -> bool:
+        """Add the generator g; False, with the chain unchanged, when g is
+        already a member."""
+        residue, level = self.sift(g)
+        if residue.is_identity():
+            return False
+        self._add(residue, 0, level)
+        self._verify(level)
+        return True
 
-        # Schreier-Sims: verify each level bottom-up, adding residues.
-        i = len(self.base) - 1
+    def _add(self, h, first, level):
+        """Add h, which fixes base[:level], to levels first..level."""
+        if level == len(self.base):
+            self._new_level(self._first_moved(h))
+        for j in range(first, level + 1):
+            self.level_gens[j].append(h)
+            self._orbit(j)
+
+    def _verify(self, i):
+        """Schreier-Sims from level i up to level 0: every Schreier generator
+        of a level must sift through the levels below it."""
         while i >= 0:
-            done = True
-            trans = self.transversals[i]
-            for pt in list(trans):
-                rep = trans[pt]
-                for s in self.level_gens[i]:
-                    img = s.images[pt]
-                    schreier = rep * s * self.transversals[i][img].inverse()
-                    if schreier.is_identity():
-                        continue
-                    residue, level = self.sift(schreier, i + 1)
-                    if level == len(self.base) or not residue.is_identity():
-                        if level == len(self.base):
-                            if residue.is_identity():
-                                continue
-                            self._new_level(self._first_moved(residue))
-                        for j in range(i + 1, level + 1):
-                            self.level_gens[j].append(residue)
-                            self._orbit(j)
-                        i = level
-                        done = False
-                        break
-                if not done:
-                    break
-            if done:
+            found = self._unsifted_schreier(i)
+            if found is None:
                 i -= 1
+                continue
+            residue, level = found
+            self._add(residue, i + 1, level)
+            i = level
+
+    def _unsifted_schreier(self, i):
+        """(residue, level) of the first Schreier generator of level i that
+        does not sift to the identity, or None."""
+        trans = self.transversals[i]
+        for pt, rep in trans.items():
+            for s in self.level_gens[i]:
+                residue, level = self.sift(rep * s * trans[s.images[pt]].inverse(), i + 1)
+                if not residue.is_identity():
+                    return residue, level
+        return None
 
     def order(self):
         n = 1
         for trans in self.transversals:
             n *= len(trans)
         return n
-
-    def strong_generators(self):
-        seen = []
-        for gens in self.level_gens:
-            for g in gens:
-                if g not in seen:
-                    seen.append(g)
-        return seen
 
 
 class PermGroup:
@@ -152,6 +143,7 @@ class PermGroup:
         self.gens = tuple(g for g in gens if not g.is_identity())
         self._base_hint = tuple(base_hint)
         self._chain = None
+        self.recipe = None  # a GroupRecipe when the atlas built the group
 
     @property
     def chain(self) -> _Chain:
@@ -166,17 +158,21 @@ class PermGroup:
         if g.degree != self.degree:
             return False
         residue, level = self.chain.sift(g)
-        return level == len(self.chain.base) and residue.is_identity()
+        return residue.is_identity()
 
-    def is_trivial(self) -> bool:
-        return self.order() == 1
+    def extend(self, g: Permutation) -> bool:
+        """Add the generator g, growing the chain in place; False, with the
+        group unchanged, when g is already a member."""
+        if g.degree != self.degree:
+            raise InvalidGenerators("generator degree %d != group degree %d" % (g.degree, self.degree))
+        if not self.chain.extend(g):
+            return False
+        self.gens += (g,)
+        self._pr_state = None  # restart product replacement with the new generator
+        return True
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
-
-    @property
-    def base(self):
-        return tuple(self.chain.base)
 
     def orbit(self, point: int):
         orb = {point}
@@ -205,16 +201,15 @@ class PermGroup:
         return len(self.orbit(0)) == self.degree
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
-        """Subgroup fixing every listed point, via a base change."""
+        """Subgroup fixing every listed point: a level of this group's chain
+        when its base starts with the points, else of a chain built on them."""
         points = list(points)
-        if not points:
-            return self
-        chain = _Chain(self.degree, self.gens, base_hint=points)
-        keep = []
-        for g in chain.strong_generators():
-            if all(g.images[p] == p for p in points):
-                keep.append(g)
-        return PermGroup(keep, self.degree)
+        chain = self.chain
+        if chain.base[: len(points)] != points:
+            chain = _Chain(self.degree, self.gens, base_hint=points)
+        if len(points) == len(chain.base):
+            return PermGroup([], self.degree)
+        return PermGroup(chain.level_gens[len(points)], self.degree)
 
     def point_stabilizer(self, point: int) -> "PermGroup":
         return self.pointwise_stabilizer([point])
@@ -349,32 +344,20 @@ def orbit_with_stabilizer(G: PermGroup, value, kind, cap=DEFAULT_ORBIT_CAP):
 def schreier_stabilizer(G: PermGroup, orbit, trans, images) -> PermGroup:
     """Stabilizer of orbit[0], from its orbit as orbit_with_transversal returns it.
 
-    The stabilizer is generated by sifted Schreier generators; generation
-    stops as soon as the orbit-stabilizer product identity certifies
-    completeness.
+    One group is extended by Schreier generators until the orbit-stabilizer
+    identity certifies it complete: its order is |G| / |orbit|.
     """
     target = G.order() // len(orbit)
     if target * len(orbit) != G.order():
         raise AssertionError("orbit size does not divide group order")
-    stab_gens = []
     stab = PermGroup([], G.degree)
-    if target > 1:
-        done = False
-        for i, v in enumerate(orbit):
-            rep = trans[v]
-            for g, col in zip(G.gens, images):
-                schreier = rep * g * trans[orbit[col[i]]].inverse()
-                if schreier.is_identity() or schreier in stab:
-                    continue
-                stab_gens.append(schreier)
-                stab = PermGroup(stab_gens, G.degree)
-                if stab.order() == target:
-                    done = True
-                    break
-            if done:
-                break
-        if stab.order() != target:
-            raise AssertionError("Schreier generation did not reach stabilizer order")
+    for i, v in enumerate(orbit):
+        for g, col in zip(G.gens, images):
+            if stab.order() == target:
+                return stab
+            stab.extend(trans[v] * g * trans[orbit[col[i]]].inverse())
+    if stab.order() != target:
+        raise AssertionError("Schreier generation did not reach stabilizer order")
     return stab
 
 
@@ -478,18 +461,3 @@ def subgroup_closure(G: PermGroup, elems) -> PermGroup:
             raise NotASubgroupElement("element %s not in group" % x)
     return PermGroup(elems, G.degree)
 
-
-def naive_closure(gens, degree, cap=100000):
-    """Brute-force element enumeration; independent oracle for small groups."""
-    ident = Permutation.identity(degree)
-    seen = {ident}
-    queue = [ident]
-    for x in queue:
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise OrbitOverflow("closure exceeds cap")
-                seen.add(y)
-                queue.append(y)
-    return seen

@@ -1,8 +1,43 @@
 """Independent test oracles, kept free of the package's search machinery."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
+from designforge.errors import OrbitOverflow
 from designforge.perm import Permutation
+
+
+def naive_closure(gens, degree, cap=100000):
+    """Brute-force element enumeration; independent oracle for small groups."""
+    ident = Permutation.identity(degree)
+    seen = {ident}
+    queue = [ident]
+    for x in queue:
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise OrbitOverflow("closure exceeds cap")
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def brute_force_aut_order(D):
+    """Count all point permutations preserving the block multiset.
+
+    Exponential; an independent check for small structures.
+    """
+    mult = D.block_multiset()
+    count = 0
+    for images in permutations(range(D.v)):
+        ok = True
+        for blk, m in mult.items():
+            if mult.get(tuple(sorted(images[p] for p in blk))) != m:
+                ok = False
+                break
+        if ok:
+            count += 1
+    return count
 
 
 def oracle_aut_order(D):
@@ -93,3 +128,10 @@ def induced_dual_point_gens(design):
         out.append(Permutation(index[conjugate_index_set(design, blk, g, ginv)]
                                for blk in design.design.blocks))
     return out
+
+
+def coset_fixed_points_by_conjugation(ca, g):
+    """Points of a coset action fixed by g, found by conjugating every
+    element of every conjugate of M by g."""
+    ginv = g.inverse()
+    return sum(frozenset(x.conjugate(g, ginv) for x in pts) == pts for pts in ca.point_sets)

@@ -40,11 +40,10 @@ from designforge.design import IncidenceStructure, reduce_design
 from designforge.group import (
     PermGroup,
     element_of_order,
-    naive_closure,
     orbit_with_stabilizer,
 )
 from designforge.perm import Permutation
-from oracles import oracle_aut_order
+from oracles import naive_closure, oracle_aut_order
 
 MATHIEU_KEYS = [(24, 2), (24, 3), (23, 2), (23, 3), (22, 2), (22, 3)]
 

@@ -7,7 +7,6 @@ import pytest
 from designforge.atlas import build_alternating, build_psl2, point_stabilizer_subgroup
 from designforge.autsearch import (
     aut_group,
-    brute_force_aut_order,
     expand_class_perm,
     fixes_every_block,
     is_design_automorphism,
@@ -30,7 +29,7 @@ FANO = IncidenceStructure(
 )
 
 
-from oracles import oracle_aut_order
+from oracles import brute_force_aut_order, oracle_aut_order
 
 
 def random_structure(rng, max_v=12):
@@ -62,6 +61,15 @@ def test_aut_generators_act_on_points_and_blocks():
 def test_brute_force_matches_search_small():
     D = IncidenceStructure(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     assert brute_force_aut_order(D) == aut_group(D).order
+
+
+def test_aut_order_is_order_of_point_gens():
+    # the order comes from the group grown during the search; a chain built
+    # afresh from the generators it reports must agree
+    rng = Random(7)
+    for D in [FANO] + [random_structure(rng, max_v=9) for _ in range(40)]:
+        res = aut_group(D)
+        assert PermGroup(res.point_gens, D.v).order() == res.order
 
 
 def test_oracle_agrees_on_known_cases():

@@ -7,6 +7,7 @@ from designforge.atlas import (
     embed_pgl2,
     point_stabilizer_subgroup,
 )
+from designforge.casestudies import _a6_second_s4
 from designforge.construct import (
     coset_action,
     faithfulness_check,
@@ -18,6 +19,7 @@ from designforge.construct import (
 from designforge.errors import OrbitOverflow
 from designforge.group import PermGroup, conjugacy_class, element_of_order
 from designforge.perm import Permutation, parse_cycle_string
+from oracles import coset_fixed_points_by_conjugation
 
 
 def test_stabilizer_orbits_sorted():
@@ -152,6 +154,33 @@ def test_perm_char_equals_replication():
     g = element_of_order(M, 2)
     D2 = method2_design(G, M, g)
     assert D2.params.lam == perm_char_value(G, M, g, coset=ca)
+
+
+def _psl_pgl_pair(q, variant):
+    return build_psl2(q * q), embed_pgl2(q, variant)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: _psl_pgl_pair(3, "squared"),
+        lambda: _psl_pgl_pair(3, "non-squared"),
+        lambda: _psl_pgl_pair(5, "squared"),
+        lambda: _psl_pgl_pair(5, "non-squared"),
+        _a6_second_s4,
+    ],
+    ids=["psl2-9-squared", "psl2-9-non-squared", "psl2-25-squared", "psl2-25-non-squared", "A6-S4"],
+)
+def test_coset_fixed_points_match_conjugation(pair):
+    # one element of each order of G and of M, counted through the
+    # transversal and by conjugating every element of every conjugate of M
+    G, M = pair()
+    ca = coset_action(G, M)
+    reps = {}
+    for x in list(M.elements()) + list(G.elements()):
+        reps.setdefault((x in M, x.order()), x)
+    for g in reps.values():
+        assert ca.fixed_point_count(g) == coset_fixed_points_by_conjugation(ca, g)
 
 
 def test_faithfulness_detects_kernel():

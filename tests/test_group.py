@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from designforge.atlas import build_alternating, build_psl2, build_symmetric
 from designforge.errors import NotASubgroupElement, NotFound, OrbitOverflow
 from designforge.group import (
     PermGroup,
@@ -13,12 +14,12 @@ from designforge.group import (
     element_of_order,
     find_imprimitivity,
     minimal_block_system,
-    naive_closure,
     orbit_with_stabilizer,
     orbit_with_transversal,
     subgroup_closure,
 )
 from designforge.perm import Permutation, parse_cycle_string
+from oracles import naive_closure
 
 
 def sym(n):
@@ -75,6 +76,26 @@ def test_membership_against_naive_closure():
             assert x in G
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_extend_matches_naive_closure(data):
+    # a group grown one generator at a time has the closure's order and
+    # members, and extend refuses exactly the generators already members
+    n = data.draw(st.integers(1, 8))
+    G = PermGroup([], n)
+    gens, elems = [], {Permutation.identity(n)}
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            g = data.draw(st.sampled_from(sorted(elems, key=lambda x: x.images)))
+        else:
+            g = Permutation(data.draw(st.permutations(list(range(n)))))
+        assert G.extend(g) == (g not in elems)
+        gens.append(g)
+        elems = naive_closure(gens, n)
+        assert G.order() == len(elems)
+        assert all(x in G for x in elems)
+
+
 def test_orbits_and_transitivity():
     G = PermGroup([parse_cycle_string("(1,2,3)", 5)], 5)
     assert G.orbits() == [[0, 1, 2], [3], [4]]
@@ -94,6 +115,29 @@ def test_pointwise_stabilizer():
     S = G.pointwise_stabilizer([0, 1])
     assert S.order() == factorial(4)
     assert all(g.images[0] == 0 and g.images[1] == 1 for g in S.gens)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_symmetric(6), lambda: build_alternating(7), lambda: build_psl2(7)],
+    ids=["S6", "A7", "PSL(2,7)"],
+)
+def test_pointwise_stabilizer_against_closure(build):
+    G = build()
+    elems = naive_closure(G.gens, G.degree)
+    base = G.chain.base
+    reused = [base[:k] for k in range(1, len(base) + 1)]
+    fresh = [[base[1], base[0]], [G.degree - 1], [G.degree - 1, base[0]]]
+    for points in reused + fresh:
+        S = G.pointwise_stabilizer(points)
+        if points in reused:
+            assert list(S.gens) == (G.chain.level_gens + [[]])[len(points)]
+        else:
+            assert base[: len(points)] != points
+        fixing = [x for x in elems if all(x.images[p] == p for p in points)]
+        assert S.order() == len(fixing)
+        assert all(x in S for x in fixing)
+        assert all(all(g.images[p] == p for p in points) for g in S.gens)
 
 
 def test_elements_enumeration_distinct():
