@@ -514,7 +514,8 @@ def run_coset_orbit_family(aut_budget: int = 10**6, sample: int = None):
         )
     phi = frobenius_on_projline(27, 1)
     report["frobenius_normalizes"] = normalizing_map_check(G0, phi)
-    lifts = [lift_test_method1(D, phi) for D in designs]
+    pi = ca.induced_perm(phi)
+    lifts = [lift_test_method1(D, phi, pi) for D in designs]
     report["frobenius_lifts"] = lifts
     report["claims"].append(claim("frobenius-lift-count", 1, sum(lifts)))
     if sample is None and complete:

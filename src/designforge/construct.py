@@ -183,7 +183,13 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
     if g not in M:
         raise ValueError("g is not a member of M")
     class_elems, trans, index_of, class_images = orbit_with_transversal(G, g, "conj", cap=cap)
-    base_block = tuple(i for i, h in enumerate(class_elems) if h in M)
+    recipe = M.recipe
+    if recipe is not None and recipe.kind == "point-stabilizer":
+        # M is all of G fixing pt, and the class lies in G
+        pt = recipe.params["point"]
+        base_block = tuple(i for i, h in enumerate(class_elems) if h.images[pt] == pt)
+    else:
+        base_block = tuple(i for i, h in enumerate(class_elems) if h in M)
     if not base_block:
         raise InternalInconsistency("class does not meet M")
     on_blocks = orbit_set_action(class_elems, index_of, "conj", G.gens, class_images)

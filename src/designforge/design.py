@@ -249,6 +249,8 @@ def read_design(path):
                 if parts[0] != "design" or len(parts) != 3:
                     raise ValueError("expected 'design v b' header, got %r" % line)
                 header = (int(parts[1]), int(parts[2]))
+                if min(header) < 1:
+                    raise ValueError("need at least one point and one block, got %r" % line)
                 continue
             rows.append(tuple(int(x) for x in line.split()))
     if header is None:

@@ -1,10 +1,13 @@
 """Permutation groups with a base and strong generating set.
 
 A group's Schreier-Sims chain grows only through _Chain.extend, one
-generator at a time.  The chain is built deterministically: base points are
-chosen greedily as the first point moved by each new strong generator,
-orbits are expanded breadth-first in insertion order.  Identical generator
-lists therefore always produce identical chains.
+generator at a time, and grows incrementally: each level keeps every
+transversal entry it has, with its inverse, so sifting never inverts a
+permutation, and each (orbit point, level generator) Schreier pair is
+checked once.  The chain is built deterministically: base points are chosen
+greedily as the first point moved by each new strong generator, orbits are
+extended breadth-first in insertion order.  Identical generator lists
+therefore always produce identical chains.
 """
 
 from __future__ import annotations
@@ -23,13 +26,21 @@ DEFAULT_ORBIT_CAP = 1 << 24
 
 
 class _Chain:
-    """Base, per-level strong generators and transversals."""
+    """Base, per-level strong generators, and transversals kept with their
+    inverses.
+
+    A level only grows: its transversal keeps every entry it has, and each
+    (orbit point, level generator) pair is checked as a Schreier generator
+    once.
+    """
 
     def __init__(self, degree, gens, base_hint=()):
         self.degree = degree
         self.base = []
         self.level_gens = []  # level i: generators of the stabilizer of base[:i]
         self.transversals = []  # level i: point -> perm mapping base[i] to point
+        self.inverses = []  # level i: point -> inverse of its transversal entry
+        self._checked = []  # level i: point -> how many level generators it has checked
         for b in base_hint:
             self._new_level(b)
         for g in gens:
@@ -42,23 +53,27 @@ class _Chain:
         raise AssertionError("identity has no moved point")
 
     def _orbit(self, level):
-        """Recompute the fundamental orbit and transversal of a level."""
-        beta = self.base[level]
-        trans = {beta: Permutation.identity(self.degree)}
-        queue = [beta]
+        """Extend the fundamental orbit and transversal of a level to its
+        current generators, keeping the entries already there."""
+        trans = self.transversals[level]
+        inv = self.inverses[level]
+        queue = list(trans)
         for pt in queue:
             rep = trans[pt]
             for s in self.level_gens[level]:
                 img = s.images[pt]
                 if img not in trans:
-                    trans[img] = rep * s
+                    trans[img] = r = rep * s
+                    inv[img] = r.inverse()
                     queue.append(img)
-        self.transversals[level] = trans
 
     def _new_level(self, point):
+        identity = Permutation.identity(self.degree)
         self.base.append(point)
         self.level_gens.append([])
-        self.transversals.append({point: Permutation.identity(self.degree)})
+        self.transversals.append({point: identity})
+        self.inverses.append({point: identity})
+        self._checked.append({})
 
     def sift(self, g, start=0):
         """Strip g through the chain; return (residue, failure level).
@@ -71,10 +86,10 @@ class _Chain:
             img = h.images[self.base[level]]
             if img == self.base[level]:
                 continue
-            rep = self.transversals[level].get(img)
-            if rep is None:
+            inv = self.inverses[level].get(img)
+            if inv is None:
                 return h, level
-            h = h * rep.inverse()
+            h = h * inv
         return h, len(self.base)
 
     def extend(self, g) -> bool:
@@ -108,14 +123,23 @@ class _Chain:
             i = level
 
     def _unsifted_schreier(self, i):
-        """(residue, level) of the first Schreier generator of level i that
-        does not sift to the identity, or None."""
+        """(residue, level) of the first unchecked Schreier generator of
+        level i that does not sift to the identity, or None.
+
+        A pair that sifted to the identity once always will: its transversal
+        entries are kept and the levels below only grow.
+        """
         trans = self.transversals[i]
+        inv = self.inverses[i]
+        gens = self.level_gens[i]
+        checked = self._checked[i]
         for pt, rep in trans.items():
-            for s in self.level_gens[i]:
-                residue, level = self.sift(rep * s * trans[s.images[pt]].inverse(), i + 1)
+            for k in range(checked.get(pt, 0), len(gens)):
+                s = gens[k]
+                residue, level = self.sift(rep * s * inv[s.images[pt]], i + 1)
                 if not residue.is_identity():
                     return residue, level
+                checked[pt] = k + 1
         return None
 
     def order(self):

@@ -9,23 +9,44 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property
+from operator import itemgetter
+
+
+def _take(seq, idx) -> tuple:
+    """The tuple (seq[i] for i in idx)."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    return tuple(seq[i] for i in idx)
 
 
 class Permutation:
-    """An immutable bijection on [0, n)."""
+    """An immutable bijection on [0, n).
 
-    __slots__ = ("images", "__dict__")
+    The constructor validates its input.  Products, inverses, conjugates and
+    powers of valid permutations are valid by construction and skip that
+    check through _trusted.
+    """
+
+    __slots__ = ("images", "_hash")
 
     def __init__(self, images):
         images = tuple(images)
         if set(images) != set(range(len(images))):
             raise ValueError("not a permutation of 0..n-1: %r" % (images,))
         self.images = images
+        self._hash = None
+
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """A permutation from an image tuple known to be a bijection."""
+        p = object.__new__(cls)
+        p.images = images
+        p._hash = None
+        return p
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
+        return cls._trusted(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -48,8 +69,9 @@ class Permutation:
         return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        q = other.images
-        return Permutation(q[i] for i in self.images)
+        if len(other.images) != len(self.images):
+            raise ValueError("degree mismatch: %d * %d" % (self.degree, other.degree))
+        return Permutation._trusted(_take(other.images, self.images))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -67,30 +89,28 @@ class Permutation:
         imgs = [0] * len(self.images)
         for i, j in enumerate(self.images):
             imgs[j] = i
-        return Permutation(imgs)
+        return Permutation._trusted(tuple(imgs))
 
     def conjugate(self, x: "Permutation", xinv: "Permutation" = None) -> "Permutation":
         """Return self^x = x^-1 * self * x."""
+        if len(x.images) != len(self.images):
+            raise ValueError("degree mismatch: %d ^ %d" % (self.degree, x.degree))
         if xinv is None:
             xinv = x.inverse()
-        xi = xinv.images
-        xm = x.images
-        s = self.images
-        return Permutation(xm[s[xi[i]]] for i in range(len(s)))
+        return Permutation._trusted(_take(x.images, _take(self.images, xinv.images)))
 
     def commutes_with(self, other: "Permutation") -> bool:
         s, o = self.images, other.images
         return all(o[s[i]] == s[o[i]] for i in range(len(s)))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.images)
+        return self.images == tuple(range(len(self.images)))
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.images)
+        return h
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

@@ -5,6 +5,7 @@ from designforge.atlas import (
     build_psl2,
     build_symmetric,
     embed_pgl2,
+    mathieu_group,
     point_stabilizer_subgroup,
 )
 from designforge.casestudies import _a6_second_s4
@@ -137,6 +138,25 @@ def test_method2_induced_point_perm():
         D2.class_elems[pi.images[i]] == D2.class_elems[i].conjugate(x)
         for i in range(D2.params.v)
     )
+
+
+@pytest.mark.parametrize(
+    "build, pt, order, fixed",
+    [
+        (lambda: mathieu_group(22), 21, 3, 4),
+        (lambda: mathieu_group(23), 22, 3, 5),
+        (lambda: build_psl2(9), 0, 2, None),
+    ],
+    ids=["M22", "M23", "psl2:9"],
+)
+def test_method2_point_stabilizer_base_block_matches_sift(build, pt, order, fixed):
+    # a point-stabilizer M finds its base block by a fixed-point test; the
+    # block must be the class elements that sift through M's chain
+    G = build()
+    M = point_stabilizer_subgroup(G, pt)
+    g = element_of_order(M, order, class_tag=None if fixed is None else {"fixed_points": fixed})
+    design = method2_design(G, M, g)
+    assert design.base_block == tuple(i for i, h in enumerate(design.class_elems) if h in M)
 
 
 def test_perm_char_point_stabilizer_shortcut():

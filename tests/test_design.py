@@ -168,6 +168,11 @@ def test_read_rejects_malformed(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(ValueError):
         read_design(path)
+    # a header of -1 blocks once took the missing params line for present
+    for header in ("design 0 -1\n\n", "design 3 0\n1 1 1\n"):
+        path.write_text(header)
+        with pytest.raises(ValueError):
+            read_design(path)
 
 
 @settings(max_examples=50, deadline=None)

@@ -96,6 +96,58 @@ def test_extend_matches_naive_closure(data):
         assert all(x in G for x in elems)
 
 
+def _chain_snapshot(chain):
+    return (
+        list(chain.base),
+        [list(gens) for gens in chain.level_gens],
+        [list(trans.items()) for trans in chain.transversals],
+        [list(inv.items()) for inv in chain.inverses],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_incremental_chain_invariants(data):
+    # generators added in random order through extend: every level keeps
+    # transversal entries mapping its base point where they claim, with
+    # their inverses, and the group is the closure of what was added
+    n = data.draw(st.integers(1, 8))
+    gens = data.draw(st.lists(st.permutations(list(range(n))).map(Permutation), min_size=1, max_size=4))
+    order = data.draw(st.permutations(gens))
+    G = PermGroup([], n)
+    for g in order:
+        G.extend(g)
+    chain = G.chain
+    for i, b in enumerate(chain.base):
+        assert all(s.images[p] == p for s in chain.level_gens[i] for p in chain.base[:i])
+        assert list(chain.inverses[i]) == list(chain.transversals[i])
+        for pt, rep in chain.transversals[i].items():
+            assert rep.images[b] == pt
+            assert chain.inverses[i][pt] == rep.inverse()
+    elems = naive_closure(order, n)
+    assert G.order() == len(elems)
+    assert all(x in G for x in elems)
+    outsider = Permutation(data.draw(st.permutations(list(range(n)))))
+    assert (outsider in G) == (outsider in elems)
+    # the same generator list gives the same chain
+    assert _chain_snapshot(PermGroup(order, n).chain) == _chain_snapshot(chain)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        [(3, 1, 2, 0, 4), (2, 4, 3, 1, 0)],
+        [(1, 0, 2, 3, 4), (4, 2, 3, 0, 1)],
+        [(0, 4, 1, 6, 2, 3, 5), (4, 0, 6, 2, 5, 1, 3), (6, 4, 2, 1, 3, 0, 5)],
+    ],
+)
+def test_every_schreier_pair_is_checked(images):
+    # generating sets of S5 and S7 whose chain stops at half the order or
+    # less when a level skips the pairs after one that failed to sift
+    gens = [Permutation(x) for x in images]
+    assert PermGroup(gens).order() == len(naive_closure(gens, len(images[0])))
+
+
 def test_orbits_and_transitivity():
     G = PermGroup([parse_cycle_string("(1,2,3)", 5)], 5)
     assert G.orbits() == [[0, 1, 2], [3], [4]]

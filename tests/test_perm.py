@@ -110,3 +110,60 @@ def test_generator_file_img_format(tmp_path):
     assert degree == 4
     assert gens[0].images == (1, 0, 2, 3)
     assert gens[1].images == (0, 1, 3, 2)
+
+
+def same_degree_perms(count, max_degree=8):
+    return st.integers(1, max_degree).flatmap(
+        lambda n: st.tuples(*[st.permutations(list(range(n))).map(Permutation)] * count)
+    )
+
+
+@given(same_degree_perms(3), st.integers(-7, 7))
+def test_kernel_matches_defining_formulas(perms_, k):
+    # products, inverses, conjugates and powers skip validation; each must
+    # equal the validated permutation its defining formula gives
+    p, q, x = perms_
+    n = p.degree
+    assert p * q == Permutation([q.images[p.images[i]] for i in range(n)])
+    inv = [0] * n
+    for i in range(n):
+        inv[p.images[i]] = i
+    assert p.inverse() == Permutation(inv)
+    # i^(x^-1 p x): x^-1 sends i to x.images.index(i)
+    assert p.conjugate(x) == Permutation([x.images[p.images[x.images.index(i)]] for i in range(n)])
+    assert p.conjugate(x, x.inverse()) == p.conjugate(x)
+    power = list(range(n))
+    step = p.images if k >= 0 else Permutation(inv).images
+    for _ in range(abs(k)):
+        power = [step[i] for i in power]
+    assert p**k == Permutation(power)
+    assert Permutation.identity(n) == Permutation(range(n))
+
+
+@given(same_degree_perms(2))
+def test_trusted_and_validated_are_interchangeable(perms_):
+    p, q = perms_
+    for trusted in (p * q, p.inverse(), p.conjugate(q), p**-2, Permutation.identity(p.degree)):
+        validated = Permutation(list(trusted.images))
+        assert trusted == validated and validated == trusted
+        assert hash(trusted) == hash(validated)
+        assert {trusted: "t"}[validated] == "t"
+        assert {validated: "v"}[trusted] == "v"
+        assert len({trusted, validated}) == 1
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(-1, n), min_size=n, max_size=n)))
+def test_rejects_every_non_bijection(images):
+    if sorted(images) == list(range(len(images))):
+        assert Permutation(images).images == tuple(images)
+    else:
+        with pytest.raises(ValueError):
+            Permutation(images)
+
+
+def test_products_reject_degree_mismatch():
+    p, q = Permutation([1, 0]), Permutation([1, 2, 0])
+    with pytest.raises(ValueError):
+        p * q
+    with pytest.raises(ValueError):
+        p.conjugate(q)
