@@ -330,15 +330,10 @@ def normalizing_map_check(G: PermGroup, phi: Permutation) -> bool:
     return all(g.conjugate(phi, phinv) in G for g in G.gens)
 
 
-def lift_test_method1(design, phi: Permutation, pi: Permutation = None) -> bool:
-    """Whether the point map induced by the normalizing map phi permutes the
-    blocks of a stabilizer-orbit design.
-
-    pi is that point map when the caller has it already, as for designs
-    sharing one coset action.
-    """
-    if pi is None:
-        pi = design.induced_point_perm(phi)
+def lift_test_method1(design, pi: Permutation) -> bool:
+    """Whether pi, the point map a normalizing map induces on a
+    stabilizer-orbit design (its `induced_point_perm`, None when the points
+    are not preserved), permutes the design's blocks."""
     if pi is None:
         return False
     blocks = set(design.design.blocks)

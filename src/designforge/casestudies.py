@@ -515,7 +515,7 @@ def run_coset_orbit_family(aut_budget: int = 10**6, sample: int = None):
     phi = frobenius_on_projline(27, 1)
     report["frobenius_normalizes"] = normalizing_map_check(G0, phi)
     pi = ca.induced_perm(phi)
-    lifts = [lift_test_method1(D, phi, pi) for D in designs]
+    lifts = [lift_test_method1(D, pi) for D in designs]
     report["frobenius_lifts"] = lifts
     report["claims"].append(claim("frobenius-lift-count", 1, sum(lifts)))
     if sample is None and complete:
@@ -541,7 +541,7 @@ def run_small_designs(aut_budget: int = 10**6, stretch_budget: int = 0):
             claim("design-parameters", (6, 6, 5, 5), (D1.params.v, D1.params.b, D1.params.k, D1.params.lam)),
             claim("aut-order", 720, a1.order),
             claim("transposition-normalizes", True, normalizing_map_check(A6, transposition)),
-            claim("transposition-lifts", True, lift_test_method1(D1, transposition)),
+            claim("transposition-lifts", True, lift_test_method1(D1, D1.induced_point_perm(transposition))),
         ],
     }
     A6b, S4 = _a6_second_s4()

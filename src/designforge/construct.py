@@ -175,6 +175,21 @@ class Method2Design:
         return [C.conjugate_group(self.conjugator_to(i)) for i in points]
 
 
+def _stabilized_point(G: PermGroup, M: PermGroup):
+    """The point pt with M = Stab_G(pt), or None. The point comes from M's
+    recipe, which does not record G, so it is checked: M's generators lie in
+    G and fix pt, and |M| = |G| / |pt^G|."""
+    recipe = M.recipe
+    if recipe is None or recipe.kind != "point-stabilizer":
+        return None
+    pt = recipe.params["point"]
+    if any(x.images[pt] != pt or x not in G for x in M.gens):
+        return None
+    if G.order() != M.order() * len(G.orbit(pt)):
+        return None
+    return pt
+
+
 def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT_CAP) -> Method2Design:
     """Points are the conjugacy class of g; the base block is its
     intersection with M, and blocks are the G-translates."""
@@ -183,10 +198,9 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
     if g not in M:
         raise ValueError("g is not a member of M")
     class_elems, trans, index_of, class_images = orbit_with_transversal(G, g, "conj", cap=cap)
-    recipe = M.recipe
-    if recipe is not None and recipe.kind == "point-stabilizer":
+    pt = _stabilized_point(G, M)
+    if pt is not None:
         # M is all of G fixing pt, and the class lies in G
-        pt = recipe.params["point"]
         base_block = tuple(i for i, h in enumerate(class_elems) if h.images[pt] == pt)
     else:
         base_block = tuple(i for i, h in enumerate(class_elems) if h in M)
@@ -225,8 +239,7 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
 def perm_char_value(G: PermGroup, M: PermGroup, g: Permutation, coset: CosetAction = None) -> int:
     """1_M^G(g): the number of conjugates of M containing g, counted as
     fixed points of g on the cosets of M."""
-    recipe = M.recipe
-    if coset is None and recipe is not None and recipe.kind == "point-stabilizer":
+    if coset is None and _stabilized_point(G, M) is not None:
         # the coset action is the natural action
         if not G.is_transitive():
             raise ValueError("point-stabilizer shortcut needs a transitive G")

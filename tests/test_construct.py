@@ -141,19 +141,23 @@ def test_method2_induced_point_perm():
 
 
 @pytest.mark.parametrize(
-    "build, pt, order, fixed",
+    "build, build_parent, pt, order, fixed",
     [
-        (lambda: mathieu_group(22), 21, 3, 4),
-        (lambda: mathieu_group(23), 22, 3, 5),
-        (lambda: build_psl2(9), 0, 2, None),
+        (lambda: mathieu_group(22), None, 21, 3, 4),
+        (lambda: mathieu_group(23), None, 22, 3, 5),
+        (lambda: build_psl2(9), None, 0, 2, None),
+        # Stab_PSL(2,5)(0) inside A6 has a point-stabilizer recipe but is not
+        # Stab_A6(0): its base block {g, g^-1} is 2 of the 12 class elements
+        # fixing 0, so it must be sifted
+        (lambda: build_alternating(6), lambda: build_psl2(5), 0, 5, None),
     ],
-    ids=["M22", "M23", "psl2:9"],
+    ids=["M22", "M23", "psl2:9", "A6-Stab_PSL(2,5)"],
 )
-def test_method2_point_stabilizer_base_block_matches_sift(build, pt, order, fixed):
-    # a point-stabilizer M finds its base block by a fixed-point test; the
-    # block must be the class elements that sift through M's chain
+def test_method2_point_stabilizer_base_block_matches_sift(build, build_parent, pt, order, fixed):
+    # M = Stab_G(pt) finds its base block by a fixed-point test; the block
+    # must be the class elements that sift through M's chain
     G = build()
-    M = point_stabilizer_subgroup(G, pt)
+    M = point_stabilizer_subgroup(G if build_parent is None else build_parent(), pt)
     g = element_of_order(M, order, class_tag=None if fixed is None else {"fixed_points": fixed})
     design = method2_design(G, M, g)
     assert design.base_block == tuple(i for i, h in enumerate(design.class_elems) if h in M)
@@ -164,6 +168,12 @@ def test_perm_char_point_stabilizer_shortcut():
     M = point_stabilizer_subgroup(G, 0)
     g = element_of_order(M, 2)
     assert perm_char_value(G, M, g) == len(g.fixed_points())
+    # Stab_PSL(2,5)(0) is not Stab_A6(0): an involution lies in 4 of its
+    # conjugates but fixes 2 points
+    G = build_alternating(6)
+    M = point_stabilizer_subgroup(build_psl2(5), 0)
+    g = element_of_order(M, 2)
+    assert perm_char_value(G, M, g) == coset_action(G, M).fixed_point_count(g) == 4
 
 
 def test_perm_char_equals_replication():

@@ -76,11 +76,23 @@ def test_membership_against_naive_closure():
             assert x in G
 
 
-@settings(max_examples=40, deadline=None)
+def _chain_snapshot(chain):
+    return (
+        list(chain.base),
+        [list(gens) for gens in chain.level_gens],
+        [list(trans.items()) for trans in chain.transversals],
+        [list(inv.items()) for inv in chain.inverses],
+    )
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_extend_matches_naive_closure(data):
-    # a group grown one generator at a time has the closure's order and
-    # members, and extend refuses exactly the generators already members
+    # a group grown one generator at a time, in random order, has the
+    # closure's order and members, and extend refuses exactly the generators
+    # already members; every level keeps transversal entries mapping its base
+    # point where they claim, with their inverses, and the same generator
+    # list gives the same chain
     n = data.draw(st.integers(1, 8))
     G = PermGroup([], n)
     gens, elems = [], {Permutation.identity(n)}
@@ -94,43 +106,16 @@ def test_extend_matches_naive_closure(data):
         elems = naive_closure(gens, n)
         assert G.order() == len(elems)
         assert all(x in G for x in elems)
-
-
-def _chain_snapshot(chain):
-    return (
-        list(chain.base),
-        [list(gens) for gens in chain.level_gens],
-        [list(trans.items()) for trans in chain.transversals],
-        [list(inv.items()) for inv in chain.inverses],
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_incremental_chain_invariants(data):
-    # generators added in random order through extend: every level keeps
-    # transversal entries mapping its base point where they claim, with
-    # their inverses, and the group is the closure of what was added
-    n = data.draw(st.integers(1, 8))
-    gens = data.draw(st.lists(st.permutations(list(range(n))).map(Permutation), min_size=1, max_size=4))
-    order = data.draw(st.permutations(gens))
-    G = PermGroup([], n)
-    for g in order:
-        G.extend(g)
-    chain = G.chain
-    for i, b in enumerate(chain.base):
-        assert all(s.images[p] == p for s in chain.level_gens[i] for p in chain.base[:i])
-        assert list(chain.inverses[i]) == list(chain.transversals[i])
-        for pt, rep in chain.transversals[i].items():
-            assert rep.images[b] == pt
-            assert chain.inverses[i][pt] == rep.inverse()
-    elems = naive_closure(order, n)
-    assert G.order() == len(elems)
-    assert all(x in G for x in elems)
+        chain = G.chain
+        for i, b in enumerate(chain.base):
+            assert all(s.images[p] == p for s in chain.level_gens[i] for p in chain.base[:i])
+            assert list(chain.inverses[i]) == list(chain.transversals[i])
+            for pt, rep in chain.transversals[i].items():
+                assert rep.images[b] == pt
+                assert chain.inverses[i][pt] == rep.inverse()
+        assert _chain_snapshot(PermGroup(gens, n).chain) == _chain_snapshot(chain)
     outsider = Permutation(data.draw(st.permutations(list(range(n)))))
     assert (outsider in G) == (outsider in elems)
-    # the same generator list gives the same chain
-    assert _chain_snapshot(PermGroup(order, n).chain) == _chain_snapshot(chain)
 
 
 @pytest.mark.parametrize(
