@@ -4,6 +4,13 @@ which normalizing maps of the acting group carry over to the design.
 The search runs on the colored bipartite incidence graph: alternating
 point/block color refinement, individualization backtracking, pruning by
 path invariants and by orbits of the automorphisms found so far.
+
+Refinement ranks integer signature tables with _lex_rank: rows of
+non-negative integers, written as big-endian words and ranked as one np.void
+item each by a 1-D np.unique, which orders them lexicographically. Colour
+numbers so depend only on signature values, never on labels. A candidate
+leaf is checked, and a generator extended to the blocks, by looking up the
+sorted images of all blocks at once in a group.RowIndex.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 
 from .design import IncidenceStructure, ReducedStructure
 from .errors import BudgetExceeded
-from .group import PermGroup
+from .group import PermGroup, RowIndex
 from .perm import Permutation
 
 
@@ -41,6 +48,19 @@ class _Budget(Exception):
     pass
 
 
+def _lex_rank(rows):
+    """Dense lexicographic ranks of the rows of a 2-D non-negative int array,
+    and the index of one row of each rank.
+
+    Each row is ranked as one np.void item of its big-endian 8-byte words:
+    big-endian bytes compare as the numbers do, so a 1-D np.unique orders
+    the items as the rows, lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=">u8")
+    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+    _, first, rank = np.unique(keys, return_index=True, return_inverse=True)
+    return rank.ravel(), first
+
+
 class _Search:
     """One backtracking run over individualized point colorings."""
 
@@ -50,7 +70,6 @@ class _Search:
         self.nodes = 0
         mult = D.block_multiset()
         self.dblocks = sorted(mult)
-        self.mult = {blk: mult[blk] for blk in self.dblocks}
         self.nb = len(self.dblocks)
         kmax = max(len(b) for b in self.dblocks)
         # pad ragged blocks with a virtual point of sentinel color
@@ -65,11 +84,9 @@ class _Search:
             bk.extend([j] * len(blk))
         self.pt_idx = np.array(pt, dtype=np.int64)
         self.blk_idx = np.array(bk, dtype=np.int64)
-        self.bcolor0 = np.unique(
-            np.array([(len(b), self.mult[b]) for b in self.dblocks], dtype=np.int64),
-            axis=0,
-            return_inverse=True,
-        )[1].ravel()
+        self.mult_arr = np.array([mult[b] for b in self.dblocks], dtype=np.int64)
+        self.block_index = RowIndex(arr)
+        self.bcolor0 = _lex_rank([(len(b), mult[b]) for b in self.dblocks])[0]
         self.pcolor0 = np.zeros(self.v, dtype=np.int64)
         # search state
         self.first_invs = {}
@@ -90,21 +107,22 @@ class _Search:
         pcolor = np.unique(pcolor, return_inverse=True)[1].ravel()
         bcolor = np.unique(bcolor, return_inverse=True)[1].ravel()
         ncp, ncb = pcolor.max() + 1, bcolor.max() + 1
-        up = ub = None
         while True:
-            pc_ext = np.append(pcolor, -1)
-            sig = np.column_stack([bcolor, np.sort(pc_ext[self.blocks_arr], axis=1)])
-            ub, bcolor = np.unique(sig, axis=0, return_inverse=True)
-            bcolor = bcolor.ravel()
-            counts = np.zeros((self.v, len(ub)), dtype=np.int64)
-            np.add.at(counts, (self.pt_idx, bcolor[self.blk_idx]), 1)
-            sig = np.column_stack([pcolor, counts])
-            up, pcolor = np.unique(sig, axis=0, return_inverse=True)
-            pcolor = pcolor.ravel()
-            if len(up) == ncp and len(ub) == ncb:
+            # point colors shifted by one, so that the pad, 0, sorts first
+            pc_ext = np.append(pcolor + 1, 0)
+            bsig = np.column_stack([bcolor, np.sort(pc_ext[self.blocks_arr], axis=1)])
+            bcolor, bfirst = _lex_rank(bsig)
+            nub = len(bfirst)
+            psig = np.empty((self.v, 1 + nub), dtype=">u8")
+            psig[:, 0] = pcolor
+            psig[:, 1:] = np.bincount(
+                self.pt_idx * nub + bcolor[self.blk_idx], minlength=self.v * nub
+            ).reshape(self.v, nub)
+            pcolor, pfirst = _lex_rank(psig)
+            if len(pfirst) == ncp and nub == ncb:
                 break
-            ncp, ncb = len(up), len(ub)
-        inv = hash((ncp, ncb, up.tobytes(), ub.tobytes()))
+            ncp, ncb = len(pfirst), nub
+        inv = hash((ncp, ncb, psig[pfirst].tobytes(), bsig[bfirst].tobytes()))
         return pcolor, bcolor, inv
 
     def individualize(self, pcolor, x):
@@ -125,24 +143,25 @@ class _Search:
 
     # -- candidate handling -------------------------------------------------
 
-    def _is_automorphism(self, images) -> bool:
-        for blk in self.dblocks:
-            img = tuple(sorted(images[p] for p in blk))
-            if self.mult.get(img) != self.mult[blk]:
-                return False
-        return True
+    def block_images(self, images):
+        """Index of each distinct block's image under the point map given
+        by the int array images, or None when some image is not a block of
+        the same multiplicity."""
+        rows = np.sort(np.append(images, self.v)[self.blocks_arr], axis=1)
+        j = self.block_index.find(rows)
+        if (j < 0).any() or (self.mult_arr[j] != self.mult_arr).any():
+            return None
+        return j
 
     def _leaf(self, pcolor, dev_level):
         if self.first_leaf is None:
             self.first_leaf = np.argsort(pcolor)  # color -> point
             self.group = PermGroup([], self.v, base_hint=self.first_base)
             return None
-        images = [0] * self.v
-        cur = np.argsort(pcolor)
-        for c in range(self.v):
-            images[int(self.first_leaf[c])] = int(cur[c])
-        perm = Permutation(images)
-        if not perm.is_identity() and self._is_automorphism(images):
+        images = np.empty(self.v, dtype=np.int64)
+        images[self.first_leaf] = np.argsort(pcolor)
+        perm = Permutation(images.tolist())
+        if not perm.is_identity() and self.block_images(images) is not None:
             if self.group.extend(perm):
                 self._stab_cache.clear()
             return dev_level
@@ -197,12 +216,8 @@ class _Search:
 
 
 def _extend_to_blocks(search: _Search, point_perm: Permutation) -> Permutation:
-    block_index = {blk: j for j, blk in enumerate(search.dblocks)}
-    images = list(point_perm.images)
-    for blk in search.dblocks:
-        img = tuple(sorted(point_perm[p] for p in blk))
-        images.append(search.v + block_index[img])
-    return Permutation(images)
+    j = search.block_images(np.array(point_perm.images))
+    return Permutation(point_perm.images + tuple((j + search.v).tolist()))
 
 
 def aut_group(D: IncidenceStructure, budget: int = 10**6) -> AutResult:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .atlas import (
     build_alternating,
     build_pgammal2,
@@ -37,11 +39,13 @@ from .design import (
     t_design_lambda,
     validate_1design,
 )
+from .errors import InternalInconsistency
 from .group import (
+    ElementTable,
     PermGroup,
     element_of_order,
     find_imprimitivity,
-    image_indices,
+    orbit_minima,
     orbit_with_stabilizer,
     orbit_with_transversal,
     subgroup_closure,
@@ -221,17 +225,22 @@ class MathieuRow:
 def _dual_block_imprimitivity(design: Method2Design, R, stab: PermGroup, cap: int = 60):
     """A nontrivial invariant partition of the dual block set (equivalently
     of the reduced points), found among the smallest stabilizer suborbits."""
-    reps = [cls[0] for cls in R.classes]
-    gens = [Permutation(R.class_of[col[r]] for r in reps) for col in design.class_images]
-    elems, idx = design.class_elems, design.index_of
-    stab_gens = [
-        Permutation(R.class_of[j] for j in image_indices(elems, idx, "conj", s, s.inverse(), reps))
-        for s in stab.gens
-    ]
-    n = len(reps)
-    sub = PermGroup(stab_gens, n) if stab_gens else PermGroup([], n)
-    suborbits = sorted(sub.orbits(), key=len)
-    candidates = [orb[0] for orb in suborbits if orb != [0]][:cap]
+    reps = np.array([cls[0] for cls in R.classes])
+    class_of = np.array(R.class_of)
+    gens = [Permutation(class_of[np.array(col)[reps]].tolist()) for col in design.class_images]
+    table = ElementTable(design.class_elems)
+    stab_images = []
+    for s in stab.gens:
+        idx = table.conjugate_indices(s, s.inverse(), reps)
+        if (idx < 0).any():
+            raise InternalInconsistency("the block stabilizer does not preserve the class")
+        stab_images.append(class_of[idx])
+    # suborbits by (size, least point); a suborbit is named by its least point
+    least = orbit_minima(stab_images, len(reps))
+    sizes = np.bincount(least, minlength=len(reps))
+    firsts = np.flatnonzero(sizes)
+    firsts = firsts[np.argsort(sizes[firsts], kind="stable")].tolist()
+    candidates = [x for x in firsts if x != 0 or sizes[0] > 1][:cap]
     found = find_imprimitivity(gens, 0, candidates)
     return None if found is None else found[1]
 

@@ -55,7 +55,7 @@ def _seed(args) -> int:
 
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -66,26 +66,25 @@ def _jsonable(obj):
 
 
 def _collect_claims(obj, out):
+    """Every claim under a "claims" key of a converted report body."""
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if k in ("claims",):
+            if k == "claims":
                 out.extend(v)
             else:
                 _collect_claims(v, out)
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         for v in obj:
             _collect_claims(v, out)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _collect_claims(dataclasses.asdict(obj), out)
 
 
 def _emit(args, report):
-    claims = []
-    _collect_claims(report, claims)
     report = dict(report)
     report["schema_version"] = SCHEMA_VERSION
     report["seed"] = _seed(args)
     body = _jsonable(report)
+    claims = []
+    _collect_claims(body, claims)
     text = json.dumps(body, indent=2, sort_keys=True)
     if getattr(args, "report", None):
         with open(args.report, "w") as fh:
@@ -320,21 +319,7 @@ def cmd_stab(args):
 # -- argument parsing ---------------------------------------------------------
 
 
-def _parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--report", help="also write the JSON report to this path")
-    top = argparse.ArgumentParser(
-        prog="designforge",
-        description="Designs from finite simple permutation groups.",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    c = add_parser("construct", help="build a design from a group recipe")
+def _args_construct(c):
     c.add_argument("--method", type=int, choices=(1, 2), required=True)
     c.add_argument("--group", required=True, help="psl2:q | alternating:n | symmetric:n | mathieu:n | file:path")
     c.add_argument("--point", type=int, default=0)
@@ -344,56 +329,93 @@ def _parser():
     c.add_argument("--ord", type=int, help="order of the class representative")
     c.add_argument("--fixed-points", type=int, dest="fixed_points")
     c.add_argument("--out")
-    c.set_defaults(func=cmd_construct)
 
-    for name, func in (("reduce", cmd_reduce), ("dual", cmd_dual)):
-        p = add_parser(name)
-        p.add_argument("--design", required=True)
-        p.add_argument("--out")
-        p.set_defaults(func=func)
 
-    p = add_parser("tdesign", help="test t-subset uniformity")
+def _args_design_out(p):
+    p.add_argument("--design", required=True)
+    p.add_argument("--out")
+
+
+def _args_tdesign(p):
     p.add_argument("--design", required=True)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--max-t", action="store_true", dest="max_t")
     p.add_argument("--budget", type=int, default=10**8)
     p.add_argument("--expect", type=int)
-    p.set_defaults(func=cmd_tdesign)
 
-    p = add_parser("aut", help="automorphism group search")
+
+def _args_aut(p):
     p.add_argument("--design", required=True)
     p.add_argument("--budget-nodes", type=int, dest="budget_nodes", default=10**6)
     p.add_argument("--expect-order", type=int, dest="expect_order")
-    p.set_defaults(func=cmd_aut)
 
-    p = add_parser("mathieu", help="the six Mathieu design rows")
+
+def _args_mathieu(p):
     p.add_argument("--n", type=int, choices=(22, 23, 24))
     p.add_argument("--ord", type=int, choices=(2, 3), default=2)
     p.add_argument("--budget-nodes", type=int, dest="budget_nodes", default=10**6)
-    p.set_defaults(func=cmd_mathieu)
 
-    p = add_parser("psl2", help="PSL(2,q^2) / PGL(2,q) design families")
+
+def _args_psl2(p):
     p.add_argument("--q", default="3,5")
-    p.set_defaults(func=cmd_psl2)
 
-    p = add_parser("examples", help="the named small-group design examples")
+
+def _args_examples(p):
     p.add_argument("--budget-nodes", type=int, dest="budget_nodes", default=10**6)
     p.add_argument("--sample", type=int)
     p.add_argument("--stretch-budget", type=int, dest="stretch_budget", default=0)
-    p.set_defaults(func=cmd_examples)
 
-    p = add_parser("stab", help="stabilizer identity report")
+
+def _args_stab(p):
     p.add_argument("--group", required=True)
     p.add_argument("--maximal", required=True)
     p.add_argument("--ord", type=int, required=True)
     p.add_argument("--fixed-points", type=int, dest="fixed_points")
-    p.set_defaults(func=cmd_stab)
 
+
+# name -> (add_parser keywords, argument builder, handler), in help order
+_COMMANDS = {
+    "construct": ({"help": "build a design from a group recipe"}, _args_construct, cmd_construct),
+    "reduce": ({}, _args_design_out, cmd_reduce),
+    "dual": ({}, _args_design_out, cmd_dual),
+    "tdesign": ({"help": "test t-subset uniformity"}, _args_tdesign, cmd_tdesign),
+    "aut": ({"help": "automorphism group search"}, _args_aut, cmd_aut),
+    "mathieu": ({"help": "the six Mathieu design rows"}, _args_mathieu, cmd_mathieu),
+    "psl2": ({"help": "PSL(2,q^2) / PGL(2,q) design families"}, _args_psl2, cmd_psl2),
+    "examples": ({"help": "the named small-group design examples"}, _args_examples, cmd_examples),
+    "stab": ({"help": "stabilizer identity report"}, _args_stab, cmd_stab),
+}
+
+
+def _parser(command=None):
+    """The argument parser. Given the name of a command, only that command's
+    subparser is built, and the top-level usage still names every command;
+    otherwise (help, a missing or unknown command) all of them are."""
+    top = argparse.ArgumentParser(
+        prog="designforge",
+        description="Designs from finite simple permutation groups.",
+    )
+    names = list(_COMMANDS)
+    if command in _COMMANDS:
+        names = [command]
+        sub = top.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(_COMMANDS))
+    else:
+        sub = top.add_subparsers(dest="command", required=True)
+    for name in names:
+        kw, add_arguments, func = _COMMANDS[name]
+        p = sub.add_parser(name, **kw)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--format", choices=("json", "text"), default="json")
+        p.add_argument("--report", help="also write the JSON report to this path")
+        add_arguments(p)
+        p.set_defaults(func=func)
     return top
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceeded, OrbitOverflow) as exc:

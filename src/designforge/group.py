@@ -8,11 +8,19 @@ checked once.  The chain is built deterministically: base points are chosen
 greedily as the first point moved by each new strong generator, orbits are
 extended breadth-first in insertion order.  Identical generator lists
 therefore always produce identical chains.
+
+Many elements at once go through numpy: ElementTable holds permutations as
+the rows of an int array and conjugates them together, RowIndex finds rows
+by a hashed key checked in full, and orbit_minima labels the orbits of
+permutations given as arrays.
 """
 
 from __future__ import annotations
 
+from itertools import chain as iter_chain
 from random import Random
+
+import numpy as np
 
 from .errors import (
     InvalidGenerators,
@@ -343,6 +351,76 @@ def image_indices(orbit, index, kind, x: Permutation, xinv: Permutation, points)
     are already in the tables orbit_with_transversal returns.
     """
     return [index.get(act(orbit[i], kind, x, xinv)) for i in points]
+
+
+class RowIndex:
+    """The rows of a 2-D int array, found by a 64-bit key: a fixed random
+    linear form of the row, wrapping modulo 2**64. A row found by its key
+    is compared in full, so that keys which collide cost another probe,
+    never a wrong answer."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.weights = np.random.default_rng(0).integers(1, 2**62, self.rows.shape[1])
+        keys = self.rows @ self.weights
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def find(self, rows):
+        """The table index of each given row, -1 where it is not a row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        keys = rows @ self.weights
+        out = np.full(len(rows), -1, dtype=np.int64)
+        todo = np.argsort(keys)  # sorted queries search faster
+        pos = np.searchsorted(self.keys, keys[todo])
+        while len(todo):
+            live = pos < len(self.keys)
+            todo, pos = todo[live], pos[live]
+            live = self.keys[pos] == keys[todo]
+            todo, pos = todo[live], pos[live]
+            idx = self.order[pos]
+            hit = (self.rows[idx] == rows[todo]).all(axis=1)
+            out[todo[hit]] = idx[hit]
+            todo, pos = todo[~hit], pos[~hit] + 1
+        return out
+
+
+class ElementTable:
+    """Permutations of one degree as the rows of an int array, so that many
+    of them are conjugated and looked up at once."""
+
+    def __init__(self, elems):
+        n = len(elems[0].images)
+        if n <= 256:
+            # bytes() packs each image tuple in one call
+            table = np.frombuffer(b"".join([bytes(g.images) for g in elems]), dtype=np.uint8)
+        else:
+            flat = iter_chain.from_iterable(g.images for g in elems)
+            table = np.fromiter(flat, dtype=np.int64, count=len(elems) * n)
+        self.images = table.reshape(-1, n).astype(np.int64)
+        self.index = RowIndex(self.images)
+
+    def conjugate_indices(self, x: Permutation, xinv: Permutation, points):
+        """Table indices of the conjugates by x of the elements at the given
+        indices, -1 where a conjugate is not in the table: the vectorised
+        image_indices(elems, index, "conj", x, xinv, points)."""
+        xs, xi = np.array(x.images), np.array(xinv.images)
+        return self.index.find(xs[self.images[points][:, xi]])
+
+
+def orbit_minima(images, n: int):
+    """The least point of each point's orbit under the group generated by
+    permutations of range(n), given as int arrays."""
+    least = np.arange(n)
+    while True:
+        new = least
+        for img in images:
+            new = np.minimum(new, new[img])
+            new[img] = np.minimum(new[img], new)
+        new = new[new]
+        if np.array_equal(new, least):
+            return least
+        least = new
 
 
 def orbit_set_action(orbit, index, kind, gens, images):

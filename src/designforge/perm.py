@@ -175,12 +175,19 @@ def parse_cycle_string(s: str, degree: int) -> Permutation:
     return Permutation.from_cycles(degree, cycles)
 
 
+# The largest degree a generator file may declare: each permutation line
+# allocates lists of the declared length, so a short file must not be able
+# to declare an unbounded one.
+MAX_FILE_DEGREE = 100_000
+
+
 def read_generator_file(path) -> tuple[int, list[Permutation]]:
     """Read the generator file format.
 
-    First non-comment line is ``degree n``.  Every following line is one
-    permutation, either in 1-based cycle notation or as ``img: i0 i1 ...``
-    (0-based image list).  Lines starting with ``#`` are comments.
+    First non-comment line is ``degree n``, with n at most MAX_FILE_DEGREE.
+    Every following line is one permutation, either in 1-based cycle
+    notation or as ``img: i0 i1 ...`` (0-based image list).  Lines starting
+    with ``#`` are comments.
     """
     degree = None
     gens = []
@@ -194,6 +201,8 @@ def read_generator_file(path) -> tuple[int, list[Permutation]]:
                 if not m:
                     raise ValueError("expected 'degree n' header, got %r" % line)
                 degree = int(m.group(1))
+                if degree > MAX_FILE_DEGREE:
+                    raise ValueError("degree %d exceeds the limit %d" % (degree, MAX_FILE_DEGREE))
                 continue
             if line.startswith("img:"):
                 imgs = [int(x) for x in line[4:].split()]

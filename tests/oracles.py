@@ -2,6 +2,8 @@
 
 from itertools import combinations, permutations
 
+import numpy as np
+
 from designforge.errors import OrbitOverflow
 from designforge.perm import Permutation
 
@@ -135,3 +137,30 @@ def coset_fixed_points_by_conjugation(ca, g):
     element of every conjugate of M by g."""
     ginv = g.inverse()
     return sum(frozenset(x.conjugate(g, ginv) for x in pts) == pts for pts in ca.point_sets)
+
+
+# -- colour refinement by structured-row ranking, the reference for _Search.refine
+
+
+def refine_structured(search, pcolor, bcolor):
+    """The automorphism search's colour refinement as it ranked signature rows
+    with np.unique(axis=0): returns (pcolor, bcolor, invariant) like
+    _Search.refine, without counting a node."""
+    pcolor = np.unique(pcolor, return_inverse=True)[1].ravel()
+    bcolor = np.unique(bcolor, return_inverse=True)[1].ravel()
+    ncp, ncb = pcolor.max() + 1, bcolor.max() + 1
+    while True:
+        pc_ext = np.append(pcolor, -1)
+        sig = np.column_stack([bcolor, np.sort(pc_ext[search.blocks_arr], axis=1)])
+        ub, bcolor = np.unique(sig, axis=0, return_inverse=True)
+        bcolor = bcolor.ravel()
+        counts = np.zeros((search.v, len(ub)), dtype=np.int64)
+        np.add.at(counts, (search.pt_idx, bcolor[search.blk_idx]), 1)
+        sig = np.column_stack([pcolor, counts])
+        up, pcolor = np.unique(sig, axis=0, return_inverse=True)
+        pcolor = pcolor.ravel()
+        if len(up) == ncp and len(ub) == ncb:
+            break
+        ncp, ncb = len(up), len(ub)
+    inv = hash((ncp, ncb, up.tobytes(), ub.tobytes()))
+    return pcolor, bcolor, inv

@@ -1,7 +1,11 @@
+import dataclasses
 import json
+from argparse import Namespace
 
 import pytest
 
+from designforge import cli
+from designforge.casestudies import claim
 from designforge.cli import main
 from designforge.design import read_design
 
@@ -164,3 +168,40 @@ def test_one_block_too_many_is_input_error(tmp_path, capsys):
     path.write_text("design 4 3\n0 1 2\n1 2 3\n0 2 3\n0 1 3\n")
     assert main(["aut", "--design", str(path)]) == 2
     assert "params line" in capsys.readouterr().err
+
+
+def _parse_output(capsys, parser, argv):
+    """Exit code and printed text of parsing argv with the given parser."""
+    try:
+        parser.parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_single_command_parser_matches_full_parser(name, capsys):
+    # main builds only the called command's subparser; help and errors must
+    # read as they do from the parser with every command
+    full, single = cli._parser(), cli._parser(name)
+    assert single.format_usage() == full.format_usage()
+    for argv in ([name, "--help"], [name, "--no-such-option"], [name, "extra"], [name, "--seed", "x"]):
+        assert _parse_output(capsys, single, argv) == _parse_output(capsys, full, argv)
+
+
+def test_emit_collects_claims_inside_dataclasses(capsys):
+    @dataclasses.dataclass
+    class Row:
+        n: int
+        claims: list
+
+    args = Namespace(seed=0, format="json", report=None)
+    passing = {"command": "x", "rows": [Row(1, [claim("a", 1, 1)])]}
+    failing = {"command": "x", "rows": [Row(1, [claim("a", 1, 1)]), Row(2, [claim("b", 1, 2)])]}
+    assert cli._emit(args, passing) == 0
+    capsys.readouterr()
+    assert cli._emit(args, failing) == 4
+    body = json.loads(capsys.readouterr().out)
+    assert body["rows"][1] == {"n": 2, "claims": [claim("b", 1, 2)]}

@@ -1,8 +1,9 @@
 """Fuzz the parsers where input enters: each input either parses or raises
 ValueError or a DesignForgeError, never any other exception.
 
-Headers declare at most 12 points: a generator file that declares a huge
-degree makes the parser allocate a list of that length.
+Design headers declare at most 12 points. Generator file headers declare
+at most 12 points or more than the parser's degree limit, which it must
+reject before allocating anything of that length.
 """
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from designforge.design import read_design
 from designforge.errors import DesignForgeError
-from designforge.perm import parse_cycle_string, read_generator_file
+from designforge.perm import MAX_FILE_DEGREE, parse_cycle_string, read_generator_file
 
 TOKENS = st.one_of(
     st.integers(-3, 12).map(str),
@@ -49,7 +50,8 @@ def test_read_design_fuzz(scratch_file, content):
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.one_of(st.tuples(st.integers(0, 12), TEXT).map(lambda t: "degree %d\n%s" % t).map(str.encode), CONTENT))
+@given(st.one_of(st.tuples(st.integers(0, 12) | st.integers(MAX_FILE_DEGREE + 1, 10**30), TEXT).map(
+    lambda t: "degree %d\n%s" % t).map(str.encode), CONTENT))
 def test_read_generator_file_fuzz(scratch_file, content):
     scratch_file.write_bytes(content)
     _parses_or_rejects(read_generator_file, scratch_file)

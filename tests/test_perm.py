@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from designforge.cli import main
 from designforge.perm import (
+    MAX_FILE_DEGREE,
     Permutation,
     parse_cycle_string,
     read_generator_file,
@@ -110,6 +112,18 @@ def test_generator_file_img_format(tmp_path):
     assert degree == 4
     assert gens[0].images == (1, 0, 2, 3)
     assert gens[1].images == (0, 1, 3, 2)
+
+
+def test_generator_file_degree_limit(tmp_path, capsys):
+    path = tmp_path / "g.gens"
+    path.write_text("degree %d\n(1,2)\n" % MAX_FILE_DEGREE)
+    assert read_generator_file(path)[0] == MAX_FILE_DEGREE
+    path.write_text("degree %d\n(1,2)\n" % (MAX_FILE_DEGREE + 1))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        read_generator_file(path)
+    path.write_text("degree 1000000000000\n(1,2)\n")
+    assert main(["construct", "--method", "1", "--group", "file:%s" % path]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def same_degree_perms(count, max_degree=8):
