@@ -361,7 +361,8 @@ class RowIndex:
 
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.int64)
-        self.weights = np.random.default_rng(0).integers(1, 2**62, self.rows.shape[1])
+        rng = Random(0)  # not numpy.random, whose import costs about 6 MiB
+        self.weights = np.array([rng.getrandbits(62) for _ in range(self.rows.shape[1])])
         keys = self.rows @ self.weights
         self.order = np.argsort(keys)
         self.keys = keys[self.order]
