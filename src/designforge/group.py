@@ -17,7 +17,6 @@ permutations given as arrays.
 
 from __future__ import annotations
 
-from itertools import chain as iter_chain
 from random import Random
 
 import numpy as np
@@ -357,7 +356,13 @@ class RowIndex:
     """The rows of a 2-D int array, found by a 64-bit key: a fixed random
     linear form of the row, wrapping modulo 2**64. A row found by its key
     is compared in full, so that keys which collide cost another probe,
-    never a wrong answer."""
+    never a wrong answer.
+
+    Exact keys, one np.void item of big-endian words per row as
+    autsearch._lex_rank ranks them, need no weights and no probe loop, but
+    sort and search slower: with them, in-process on a 2-core Xeon VM (best
+    of 3), the (22,3) Mathieu row's search took 129 ms instead of 120 ms and
+    casestudies._dual_block_imprimitivity 18.6 ms instead of 12.0 ms."""
 
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=np.int64)
@@ -387,18 +392,14 @@ class RowIndex:
 
 
 class ElementTable:
-    """Permutations of one degree as the rows of an int array, so that many
-    of them are conjugated and looked up at once."""
+    """Permutations of one degree, at most 256, as the rows of an int array,
+    so that many of them are conjugated and looked up at once."""
 
     def __init__(self, elems):
-        n = len(elems[0].images)
-        if n <= 256:
-            # bytes() packs each image tuple in one call
-            table = np.frombuffer(b"".join([bytes(g.images) for g in elems]), dtype=np.uint8)
-        else:
-            flat = iter_chain.from_iterable(g.images for g in elems)
-            table = np.fromiter(flat, dtype=np.int64, count=len(elems) * n)
-        self.images = table.reshape(-1, n).astype(np.int64)
+        # bytes() packs each image tuple in one call, and raises ValueError
+        # on an image above 255
+        table = np.frombuffer(b"".join([bytes(g.images) for g in elems]), dtype=np.uint8)
+        self.images = table.reshape(len(elems), -1).astype(np.int64)
         self.index = RowIndex(self.images)
 
     def conjugate_indices(self, x: Permutation, xinv: Permutation, points):
@@ -411,7 +412,11 @@ class ElementTable:
 
 def orbit_minima(images, n: int):
     """The least point of each point's orbit under the group generated by
-    permutations of range(n), given as int arrays."""
+    permutations of range(n), given as int arrays.
+
+    PermGroup.orbits gives the same orbits by a breadth-first search in
+    Python, which on the 6160 reduced points of the (22,3) Mathieu row took
+    3.3 ms against 0.3 ms here (2-core Xeon VM)."""
     least = np.arange(n)
     while True:
         new = least

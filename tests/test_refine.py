@@ -155,24 +155,10 @@ def test_row_index_finds_exactly(tables, collide):
             assert j == -1
 
 
-def _class_of_psl2_9():
+def test_conjugate_indices_match_image_indices():
     G = build_psl2(9)
     elems, _, index, _ = orbit_with_transversal(G, element_of_order(G, 3), "conj")
-    return elems, index, list(G.gens) + [G.gens[0] * G.gens[1]]
-
-
-def _wide_permutations():
-    # degree above 256, where the table is not packed from bytes
-    rng = Random(8)
-    x = Permutation(rng.sample(range(300), 300))
-    elems = [Permutation(rng.sample(range(300), 300)) for _ in range(6)]
-    elems += [p.conjugate(x) for p in elems[:4]]
-    return elems, {p: i for i, p in enumerate(elems)}, [x]
-
-
-@pytest.mark.parametrize("make", [_class_of_psl2_9, _wide_permutations])
-def test_conjugate_indices_match_image_indices(make):
-    elems, index, conjugators = make()
+    conjugators = list(G.gens) + [G.gens[0] * G.gens[1]]
     table = ElementTable(elems)
     rng = Random(5)
     n = elems[0].degree
@@ -186,6 +172,11 @@ def test_conjugate_indices_match_image_indices(make):
         assert new.tolist() == [-1 if j is None else j for j in old]
         found.extend(new.tolist())
     assert -1 in found and max(found) >= 0
+
+
+def test_element_table_rejects_degree_above_256():
+    with pytest.raises(ValueError):
+        ElementTable([Permutation(range(257))])
 
 
 @settings(max_examples=100, deadline=None)
