@@ -40,7 +40,6 @@ from .construct import (
     Method1Design,
     Method2Design,
     coset_action,
-    faithfulness_check,
     method1_design,
     method2_design,
     perm_char_value,

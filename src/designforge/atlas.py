@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import InvalidField, InvalidGenerators
 from .gf import FieldElem, FieldSpec, field_make, is_square, subfield_embedding
-from .group import PermGroup, orbit_with_stabilizer
+from .group import PermGroup, orbit_with_transversal, schreier_stabilizer
 from .perm import Permutation, read_generator_file
 
 
@@ -93,8 +94,6 @@ def build_psl2(q: int) -> PermGroup:
 
 
 def psl2_order(q: int) -> int:
-    from math import gcd
-
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
@@ -234,12 +233,15 @@ def point_stabilizer_subgroup(G: PermGroup, pt: int) -> PermGroup:
     return S
 
 
-def normalizer_of_cyclic(G: PermGroup, g: Permutation, cap=10**4) -> PermGroup:
-    """N_G(<g>) via the element-set orbit of the cyclic subgroup."""
-    powers = [g**i for i in range(g.order())]
-    if len(powers) > cap:
-        raise ValueError("cyclic subgroup too large")
-    _, stab = orbit_with_stabilizer(G, frozenset(powers), "elemset")
+def normalizer_of_cyclic(G: PermGroup, g: Permutation) -> PermGroup:
+    """N_G(<g>): C_G(g) from g's class orbit, extended by an element u with
+    g^u = g^i for each i prime to |g| with g^i in the class of g."""
+    n = g.order()
+    orbit, trans, _, images = orbit_with_transversal(G, g, "conj")
+    stab = schreier_stabilizer(G, orbit, trans, images)
+    for i in range(2, n):
+        if gcd(i, n) == 1 and g**i in trans:
+            stab.extend(trans[g**i])
     name = G.recipe
     stab.recipe = GroupRecipe(
         "N(%s, <ord-%d>)" % (name.name if name else "G", g.order()),

@@ -15,6 +15,7 @@ sorted images of all blocks at once in a group.RowIndex.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import factorial
 
@@ -222,13 +223,16 @@ def _extend_to_blocks(search: _Search, point_perm: Permutation) -> Permutation:
 
 def aut_group(D: IncidenceStructure, budget: int = 10**6) -> AutResult:
     """Full automorphism group of D, or the subgroup found before the node
-    budget ran out (flagged incomplete)."""
+    budget ran out (flagged incomplete). The search takes a Python frame per
+    level: BudgetExceeded when its tree is deeper than the recursion limit."""
     search = _Search(D, budget)
     complete = True
     try:
         search.run()
     except _Budget:
         complete = False
+    except RecursionError:
+        raise BudgetExceeded("search tree deeper than the recursion limit %d" % sys.getrecursionlimit()) from None
     K = search.group
     point_gens = list(K.gens)
     gens = [_extend_to_blocks(search, g) for g in point_gens]

@@ -5,10 +5,9 @@ and conjugacy-class blocks cut out by maximal-subgroup conjugates
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 
 from .design import DesignParams, IncidenceStructure, validate_1design
-from .errors import InternalInconsistency, OrbitOverflow
+from .errors import InternalInconsistency
 from .group import (
     DEFAULT_ORBIT_CAP,
     PermGroup,
@@ -33,48 +32,45 @@ def stabilizer_orbits(G: PermGroup, alpha: int):
 
 @dataclass
 class CosetAction:
-    """The action of G on the conjugates of a subgroup M's element set.
+    """The action of G on the right cosets of a subgroup M, each named by its
+    least element on M's chain built on G's base. Faithful whenever G is
+    simple and M is proper (kernel = core of M = 1)."""
 
-    Faithfully realizes the coset action of G on G/M whenever G is simple
-    and M is proper (kernel = core of M = 1).
-    """
-
-    parent: PermGroup
     subgroup: PermGroup
     group: PermGroup  # image of G in Sym(index)
-    point_sets: list  # frozensets of permutations; index 0 is M itself
-    index_of: dict
-    transversal: dict  # point set -> u in G with M^u = that set
-
-    def _images(self, x: Permutation):
-        return image_indices(
-            self.point_sets, self.index_of, "elemset", x, x.inverse(), range(len(self.point_sets))
-        )
+    index_of: dict  # least element of a coset -> its point
+    transversal: dict  # least element of a coset -> u in G with that coset Mu
 
     def induced_perm(self, phi: Permutation):
-        """Point permutation induced by conjugation by phi, or None when phi
-        does not permute the conjugates of M."""
-        imgs = self._images(phi)
+        """Point permutation induced by a permutation phi normalizing G: with
+        y in G such that M^phi = M^y, the coset Mu goes to M y u^phi. None
+        when no such y exists or phi does not normalize G."""
+        M = self.subgroup
+        cosets = self.transversal.values()
+        phinv = phi.inverse()
+        gens = [h.conjugate(phi, phinv) for h in M.gens]
+        y = next((y for y in cosets if all(h.conjugate(y.inverse(), y) in M for h in gens)), None)
+        if y is None:
+            return None
+        least = M.chain.least_in_coset
+        imgs = [self.index_of.get(least(y * u.conjugate(phi, phinv))) for u in cosets]
         return None if None in imgs else Permutation(imgs)
 
     def fixed_point_count(self, g: Permutation) -> int:
-        """The number of conjugates M^u containing g, i.e. of u with
-        u g u^-1 in M: the points g fixes when M is self-normalizing, as a
-        maximal subgroup of a simple group is."""
+        """1_M^G(g): the number of cosets Mu that g fixes, i.e. of u with
+        u g u^-1 in M."""
         return sum(g.conjugate(u.inverse(), u) in self.subgroup for u in self.transversal.values())
 
 
-def coset_action(G: PermGroup, M: PermGroup, elem_cap: int = 10**4, cap=DEFAULT_ORBIT_CAP) -> CosetAction:
-    """Action of G on the cosets of M, via the conjugation orbit of M's
-    element set (requires |M| <= elem_cap)."""
-    if M.order() > elem_cap:
-        raise OrbitOverflow("subgroup of order %d too large to enumerate" % M.order())
-    base = frozenset(M.elements())
-    orbit, trans, index_of, images = orbit_with_transversal(G, base, "elemset", cap=cap)
+def coset_action(G: PermGroup, M: PermGroup, cap=DEFAULT_ORBIT_CAP) -> CosetAction:
+    """Action of G on the right cosets of M, as the orbit of M's least
+    element under right multiplication."""
+    M = PermGroup(M.gens, G.degree, base_hint=G.chain.base)
+    least = M.chain.least_in_coset
+    start = least(G.identity())
+    orbit, trans, index_of, images = orbit_with_transversal(G, start, lambda v, g, ginv: least(v * g), cap=cap)
     image = PermGroup([Permutation(col) for col in images], len(orbit))
-    return CosetAction(
-        parent=G, subgroup=M, group=image, point_sets=orbit, index_of=index_of, transversal=trans
-    )
+    return CosetAction(subgroup=M, group=image, index_of=index_of, transversal=trans)
 
 
 # -- Method 1 ---------------------------------------------------------------
@@ -247,15 +243,3 @@ def perm_char_value(G: PermGroup, M: PermGroup, g: Permutation, coset: CosetActi
     if coset is None:
         coset = coset_action(G, M)
     return coset.fixed_point_count(g)
-
-
-def faithfulness_check(G: PermGroup, induce, samples: int = 100, seed: int = 0) -> bool:
-    """Whether the action given by `induce` (element -> point permutation)
-    is faithful on generators and random nonidentity words."""
-    rng = Random(seed)
-    tested = list(G.gens)
-    for _ in range(samples):
-        x = G.random_element(rng)
-        if not x.is_identity():
-            tested.append(x)
-    return all(not induce(x).is_identity() for x in tested)

@@ -149,6 +149,16 @@ class _Chain:
                 checked[pt] = k + 1
         return None
 
+    def least_in_coset(self, x):
+        """The least element of the right coset Hx, H this chain's group: the
+        one with lexicographically least base images. Each level moves x to
+        t * x, t the transversal entry whose point has the least image."""
+        for b, trans in zip(self.base, self.transversals):
+            p = min(trans, key=x.images.__getitem__)
+            if p != b:
+                x = trans[p] * x
+        return x
+
     def order(self):
         n = 1
         for trans in self.transversals:
@@ -294,8 +304,7 @@ def act(value, kind, g: Permutation, ginv: Permutation = None):
     """Apply g to an action object.
 
     Kinds: 'point' (natural), 'set' (on sorted point tuples), 'conj'
-    (conjugation on permutations), 'elemset' (conjugation on frozensets of
-    permutations), or any callable (value, g, ginv) -> value.
+    (conjugation on permutations), or any callable (value, g, ginv) -> value.
     """
     if callable(kind):
         if ginv is None:
@@ -307,10 +316,6 @@ def act(value, kind, g: Permutation, ginv: Permutation = None):
         return tuple(sorted(g.images[i] for i in value))
     if kind == "conj":
         return value.conjugate(g, ginv)
-    if kind == "elemset":
-        if ginv is None:
-            ginv = g.inverse()
-        return frozenset(x.conjugate(g, ginv) for x in value)
     raise ValueError("unknown action kind %r" % kind)
 
 

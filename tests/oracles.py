@@ -1,6 +1,7 @@
 """Independent test oracles, kept free of the package's search machinery."""
 
 from itertools import combinations, permutations
+from random import Random
 
 import numpy as np
 
@@ -133,10 +134,56 @@ def induced_dual_point_gens(design):
 
 
 def coset_fixed_points_by_conjugation(ca, g):
-    """Points of a coset action fixed by g, found by conjugating every
-    element of every conjugate of M by g."""
-    ginv = g.inverse()
-    return sum(frozenset(x.conjugate(g, ginv) for x in pts) == pts for pts in ca.point_sets)
+    """Cosets Mu of a coset action fixed by g, counted as the conjugates
+    M^u, u in its transversal, that contain g; each conjugate is built by
+    conjugating every element of M."""
+    elems = ca.subgroup.elements()
+    return sum(g in {x.conjugate(u) for x in elems} for u in ca.transversal.values())
+
+
+def coset_action_by_conjugation(G, M):
+    """G acting by conjugation on the conjugates of M's element set, found by
+    a hand-written breadth-first search from M: the action on the cosets of
+    M when M is self-normalizing.
+
+    Returns (one image tuple per generator of G, and a map phi -> the point
+    permutation conjugation by phi induces, or None when phi does not
+    permute the conjugates)."""
+
+    def conj(pts, x, xinv):
+        return frozenset(h.conjugate(x, xinv) for h in pts)
+
+    start = frozenset(M.elements())
+    index = {start: 0}
+    queue = [start]
+    gens = [(g, g.inverse()) for g in G.gens]
+    images = [[] for _ in gens]
+    for pts in queue:
+        for (g, ginv), col in zip(gens, images):
+            img = conj(pts, g, ginv)
+            if img not in index:
+                index[img] = len(queue)
+                queue.append(img)
+            col.append(index[img])
+
+    def induced_perm(phi):
+        phinv = phi.inverse()
+        imgs = [index.get(conj(pts, phi, phinv)) for pts in queue]
+        return None if None in imgs else Permutation(imgs)
+
+    return [tuple(col) for col in images], induced_perm
+
+
+def faithfulness_check(G, induce, samples: int = 100, seed: int = 0) -> bool:
+    """Whether the action given by `induce` (element -> point permutation)
+    is faithful on generators and random nonidentity words."""
+    rng = Random(seed)
+    tested = list(G.gens)
+    for _ in range(samples):
+        x = G.random_element(rng)
+        if not x.is_identity():
+            tested.append(x)
+    return all(not induce(x).is_identity() for x in tested)
 
 
 # -- colour refinement by structured-row ranking, the reference for _Search.refine

@@ -1,9 +1,12 @@
+import inspect
+import sys
 from itertools import combinations
 from math import factorial
 from random import Random
 
 import pytest
 
+from designforge import cli
 from designforge.atlas import build_alternating, build_psl2, point_stabilizer_subgroup
 from designforge.autsearch import (
     aut_group,
@@ -19,7 +22,8 @@ from designforge.autsearch import (
     verify_kernel_quotient,
 )
 from designforge.construct import method1_design, method2_design
-from designforge.design import IncidenceStructure, reduce_design, validate_1design
+from designforge.design import IncidenceStructure, reduce_design, validate_1design, write_design
+from designforge.errors import BudgetExceeded
 from designforge.group import PermGroup, element_of_order
 from designforge.perm import Permutation
 
@@ -100,6 +104,24 @@ def test_aut_budget_marks_incomplete():
     res = aut_group(D, budget=3)
     assert not res.complete
     assert all(is_design_automorphism(D, p) for p in res.point_gens)
+
+
+def test_deep_search_exits_as_budget_exceeded(tmp_path, capsys):
+    # 60 twin points: refinement cannot split them, so the search goes one
+    # level deeper per point, past a recursion limit set a little above the
+    # current stack
+    D = IncidenceStructure(60, [tuple(range(60))])
+    path = tmp_path / "twins.design"
+    write_design(path, D)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        with pytest.raises(BudgetExceeded, match="recursion limit"):
+            aut_group(D)
+        assert cli.main(["aut", "--design", str(path)]) == 3
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "budget exceeded: search tree deeper" in capsys.readouterr().err
 
 
 def test_kernel_of_reduction():

@@ -2,25 +2,27 @@ import pytest
 
 from designforge.atlas import (
     build_alternating,
+    build_pgammal2,
     build_psl2,
     build_symmetric,
     embed_pgl2,
+    frobenius_on_projline,
     mathieu_group,
+    normalizer_of_cyclic,
     point_stabilizer_subgroup,
 )
 from designforge.casestudies import _a6_second_s4
 from designforge.construct import (
     coset_action,
-    faithfulness_check,
     method1_design,
     method2_design,
     perm_char_value,
     stabilizer_orbits,
 )
 from designforge.errors import OrbitOverflow
-from designforge.group import PermGroup, conjugacy_class, element_of_order
+from designforge.group import PermGroup, centralizer, conjugacy_class, element_of_order
 from designforge.perm import Permutation, parse_cycle_string
-from oracles import coset_fixed_points_by_conjugation
+from oracles import coset_action_by_conjugation, coset_fixed_points_by_conjugation, faithfulness_check
 
 
 def test_stabilizer_orbits_sorted():
@@ -69,13 +71,88 @@ def test_coset_action_matches_index():
     ca = coset_action(G, M)
     assert ca.group.degree == G.order() // M.order() == 15
     assert ca.group.is_transitive()
-    assert ca.point_sets[0] == frozenset(M.elements())
+    # point 0 is M itself, named by its least element
+    start = next(x for x, i in ca.index_of.items() if i == 0)
+    assert start in M and ca.transversal[start].is_identity()
+    assert ca.index_of.keys() == ca.transversal.keys()
 
 
-def test_coset_action_rejects_huge_subgroup():
+def test_coset_action_large_subgroup():
+    # |Stab(22)| = 443520, and the action on its 23 cosets is the natural one
+    G = mathieu_group(23)
+    ca = coset_action(G, point_stabilizer_subgroup(G, 22))
+    assert ca.group.degree == 23
+    assert ca.group.order() == G.order() == 10200960
+    for m in (1, 2, 3, 4, 5, 6, 7, 8, 11, 14, 15, 23):
+        g = element_of_order(G, m)
+        assert ca.fixed_point_count(g) == len(g.fixed_points())
+
+
+def test_coset_action_orbit_cap():
     G = build_psl2(9)
     with pytest.raises(OrbitOverflow):
-        coset_action(G, G, elem_cap=100)
+        coset_action(G, embed_pgl2(3, "squared"), cap=10)
+
+
+def test_coset_action_not_self_normalizing():
+    # <g> of order 5 in A5 has normalizer D10, so its 12 cosets are not its
+    # 6 conjugates
+    G = build_alternating(5)
+    g = element_of_order(G, 5)
+    M = PermGroup([g], G.degree)
+    ca = coset_action(G, M)
+    assert ca.group.degree == 12
+    cls = set(conjugacy_class(G, g))
+    in_class = sum(x in cls for x in M.elements())
+    expected = centralizer(G, g).order() * in_class // M.order()
+    assert perm_char_value(G, M, g) == expected == 2
+    assert coset_fixed_points_by_conjugation(ca, g) == 2
+
+
+def _psl27_normalizer():
+    G = build_psl2(27)
+    return G, normalizer_of_cyclic(G, element_of_order(G, 13))
+
+
+def _a9_pgammal():
+    return build_alternating(9), build_pgammal2(8)
+
+
+def _a6_borel():
+    return build_alternating(6), point_stabilizer_subgroup(build_psl2(5), 0)
+
+
+@pytest.mark.parametrize(
+    "pair, phi, induces",
+    [
+        (_psl27_normalizer, lambda: frobenius_on_projline(27), True),
+        (_a6_second_s4, lambda: Permutation([1, 0, 2, 3, 4, 5]), True),
+        # the S9-class of PGammaL(2,8) splits into two A9-classes
+        (_a9_pgammal, lambda: Permutation([1, 0] + list(range(2, 9))), False),
+        (lambda: _psl_pgl_pair(3, "squared"), lambda: frobenius_on_projline(9), True),
+        (lambda: _psl_pgl_pair(3, "non-squared"), lambda: frobenius_on_projline(9), True),
+        (lambda: _psl_pgl_pair(5, "squared"), lambda: frobenius_on_projline(25), True),
+        (lambda: _psl_pgl_pair(5, "non-squared"), lambda: frobenius_on_projline(25), True),
+        (_a6_borel, lambda: Permutation([1, 0, 2, 3, 4, 5]), True),
+    ],
+    ids=[
+        "psl2-27-N13", "A6-S4", "A9-PGammaL28", "psl2-9-squared", "psl2-9-non-squared",
+        "psl2-25-squared", "psl2-25-non-squared", "A6-Stab_PSL(2,5)",
+    ],
+)
+def test_coset_action_matches_conjugation(pair, phi, induces):
+    # for self-normalizing M the cosets and the conjugates of M correspond:
+    # same points in the same order, same generator tables, same induced
+    # permutation of a map normalizing G (a field automorphism, or an odd
+    # permutation for A_n)
+    G, M = pair()
+    phi = phi()
+    images, induced_perm = coset_action_by_conjugation(G, M)
+    ca = coset_action(G, M)
+    assert ca.group.gens == PermGroup([Permutation(col) for col in images], len(images[0])).gens
+    expected = induced_perm(phi)
+    assert (expected is not None) == induces
+    assert ca.induced_perm(phi) == expected
 
 
 def test_coset_action_faithful_for_simple_group():
