@@ -233,8 +233,8 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
 
 
 def perm_char_value(G: PermGroup, M: PermGroup, g: Permutation, coset: CosetAction = None) -> int:
-    """1_M^G(g): the number of conjugates of M containing g, counted as
-    fixed points of g on the cosets of M."""
+    """1_M^G(g): the number of cosets Mu with g in M^u, counted as fixed
+    points of g on the cosets of M."""
     if coset is None and _stabilized_point(G, M) is not None:
         # the coset action is the natural action
         if not G.is_transitive():
