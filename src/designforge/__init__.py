@@ -30,7 +30,6 @@ from .autsearch import (
     kernel_generators,
     lift_test_method1,
     lift_test_method2,
-    normalizing_map_check,
     reduction_kernel_order,
     verify_kernel_intersection,
     verify_kernel_quotient,
@@ -78,6 +77,7 @@ from .group import (
     element_of_order,
     find_imprimitivity,
     minimal_block_system,
+    normalizing_map_check,
     orbit_with_stabilizer,
     orbit_with_transversal,
     subgroup_closure,

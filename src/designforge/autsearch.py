@@ -341,14 +341,6 @@ def verify_kernel_quotient(D: IncidenceStructure, R: ReducedStructure, budget: i
 # -- lifting normalizing maps ------------------------------------------------
 
 
-def normalizing_map_check(G: PermGroup, phi: Permutation) -> bool:
-    """Whether conjugation by phi maps G to itself."""
-    if phi.degree != G.degree:
-        return False
-    phinv = phi.inverse()
-    return all(g.conjugate(phi, phinv) in G for g in G.gens)
-
-
 def lift_test_method1(design, pi: Permutation) -> bool:
     """Whether pi, the point map a normalizing map induces on a
     stabilizer-orbit design (its `induced_point_perm`, None when the points

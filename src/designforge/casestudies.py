@@ -22,11 +22,12 @@ from .autsearch import (
     aut_group,
     is_design_automorphism,
     lift_test_method1,
-    normalizing_map_check,
 )
 from .construct import (
     Method2Design,
+    _stabilized_point,
     coset_action,
+    index_set_action,
     method1_design,
     method2_design,
     perm_char_value,
@@ -41,13 +42,13 @@ from .design import (
 )
 from .errors import InternalInconsistency
 from .group import (
-    ElementTable,
     PermGroup,
+    conjugacy_class,
     element_of_order,
     find_imprimitivity,
+    normalizing_map_check,
     orbit_minima,
     orbit_with_stabilizer,
-    orbit_with_transversal,
     subgroup_closure,
 )
 from .perm import Permutation
@@ -89,33 +90,26 @@ class StabReport:
     ha_normal: bool = None  # H_x A_x normal in S_x
 
 
-def _is_normal(sub: PermGroup, sup_gens) -> bool:
-    for s in sup_gens:
-        sinv = s.inverse()
-        for h in sub.gens:
-            if h.conjugate(s, sinv) not in sub:
-                return False
-    return True
+def _block_intersection_group(design: Method2Design):
+    """A_x = intersection of the conjugates of M whose blocks contain x, the
+    class element at point 0.
 
-
-def _block_intersection_group(design: Method2Design, x_index: int):
-    """A_x = intersection of the conjugates of M whose blocks contain x.
-
-    Two strategies: when M is a point stabilizer the conjugates containing
-    x are the stabilizers of the points x fixes; otherwise, for small M,
+    Two strategies: when M = Stab_G(pt) the conjugates containing x are the
+    stabilizers of the points of pt^G that x fixes; otherwise, for small M,
     intersect conjugated element sets directly.
     """
     G, M = design.G, design.M
-    x = design.class_elems[x_index]
-    recipe = M.recipe
-    if recipe is not None and recipe.kind == "point-stabilizer":
-        A = G.pointwise_stabilizer(x.fixed_points())
+    x = design.class_elems[0]
+    pt = _stabilized_point(G, M)
+    if pt is not None:
+        orbit = set(G.orbit(pt))
+        A = G.pointwise_stabilizer([p for p in x.fixed_points() if p in orbit])
         return A, "pointwise-stabilizer"
     if M.order() <= 10**4:
         melems = frozenset(M.elements())
         common = None
         for blk in design.design.blocks:
-            if x_index not in set(blk):
+            if 0 not in blk:
                 continue
             u = design.block_transversal[blk]
             uinv = u.inverse()
@@ -127,16 +121,15 @@ def _block_intersection_group(design: Method2Design, x_index: int):
     return None, "not computed"
 
 
-def class_stabilizer_report(
-    design: Method2Design, x_index: int = 0, compute_h: bool = True
-) -> StabReport:
+def class_stabilizer_report(design: Method2Design, compute_h: bool = True) -> StabReport:
+    """The identities for x, the class element at point 0."""
     G = design.G
     R = reduce_design(design.design, design.params)
-    i_class = R.classes[R.class_of[x_index]]
-    _, S = orbit_with_stabilizer(G, tuple(i_class), design.index_set_action())
-    C, *i_centralizers = design.point_centralizers([x_index, *i_class])
+    i_class = R.classes[R.class_of[0]]
+    _, S = orbit_with_stabilizer(G, tuple(i_class), index_set_action(G.gens, design.class_images))
+    C, *i_centralizers = design.point_centralizers([0, *i_class])
     c_in_s = all(g in S for g in C.gens)
-    xorbit = orbit_with_transversal(S, x_index, design.index_action())[0]
+    xorbit = [design.index_of[y] for y in conjugacy_class(S, design.class_elems[0])]
     report = StabReport(
         i_size=len(i_class),
         centralizer_order=C.order(),
@@ -145,7 +138,7 @@ def class_stabilizer_report(
         orbit_is_class=sorted(xorbit) == list(i_class),
         centralizer_contained=c_in_s,
     )
-    A, strategy = _block_intersection_group(design, x_index)
+    A, strategy = _block_intersection_group(design)
     report.a_strategy = strategy
     if A is not None:
         report.a_order = A.order()
@@ -157,10 +150,10 @@ def class_stabilizer_report(
         h_gens = [h for Cy in i_centralizers for h in Cy.gens]
         H = subgroup_closure(G, h_gens)
         report.h_order = H.order()
-        report.h_normal = _is_normal(H, S.gens)
+        report.h_normal = all(normalizing_map_check(H, s) for s in S.gens)
         if A is not None:
             HA = subgroup_closure(G, h_gens + list(A.gens))
-            report.ha_normal = _is_normal(HA, S.gens)
+            report.ha_normal = all(normalizing_map_check(HA, s) for s in S.gens)
     return report
 
 
@@ -222,16 +215,15 @@ class MathieuRow:
     claims: list = field(default_factory=list)
 
 
-def _dual_block_imprimitivity(design: Method2Design, R, stab: PermGroup, cap: int = 60):
+def _dual_block_imprimitivity(design: Method2Design, R, stab: PermGroup):
     """A nontrivial invariant partition of the dual block set (equivalently
-    of the reduced points), found among the smallest stabilizer suborbits."""
+    of the reduced points), found among the 60 smallest stabilizer suborbits."""
     reps = np.array([cls[0] for cls in R.classes])
     class_of = np.array(R.class_of)
     gens = [Permutation(class_of[np.array(col)[reps]].tolist()) for col in design.class_images]
-    table = ElementTable(design.class_elems)
     stab_images = []
     for s in stab.gens:
-        idx = table.conjugate_indices(s, s.inverse(), reps)
+        idx = design.class_table.conjugate_indices(s, s.inverse(), reps)
         if (idx < 0).any():
             raise InternalInconsistency("the block stabilizer does not preserve the class")
         stab_images.append(class_of[idx])
@@ -240,7 +232,7 @@ def _dual_block_imprimitivity(design: Method2Design, R, stab: PermGroup, cap: in
     sizes = np.bincount(least, minlength=len(reps))
     firsts = np.flatnonzero(sizes)
     firsts = firsts[np.argsort(sizes[firsts], kind="stable")].tolist()
-    candidates = [x for x in firsts if x != 0 or sizes[0] > 1][:cap]
+    candidates = [x for x in firsts if x != 0 or sizes[0] > 1][:60]
     found = find_imprimitivity(gens, 0, candidates)
     return None if found is None else found[1]
 
@@ -257,7 +249,7 @@ def run_mathieu_row(
     lam_t = t_design_lambda(T, t)
     aut = aut_group(T, aut_budget)
     orb, stab = orbit_with_stabilizer(
-        design.G, tuple(R.classes[0]), design.index_set_action()
+        design.G, tuple(R.classes[0]), index_set_action(design.G.gens, design.class_images)
     )
     row = MathieuRow(
         n=n,
@@ -448,7 +440,7 @@ def run_psl_family(q: int, variants=("squared", "non-squared"), with_stab=True):
             if with_stab and R.class_size > 1:
                 _, S = orbit_with_stabilizer(
                     G, tuple(R.classes[R.class_of[design.index_of[g]]]),
-                    design.index_set_action(),
+                    index_set_action(G.gens, design.class_images),
                 )
                 rec.s_order = S.order()
                 rec.claims.append(

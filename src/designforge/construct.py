@@ -5,14 +5,15 @@ and conjugacy-class blocks cut out by maximal-subgroup conjugates
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .design import DesignParams, IncidenceStructure, validate_1design
 from .errors import InternalInconsistency
 from .group import (
     DEFAULT_ORBIT_CAP,
+    ElementTable,
     PermGroup,
-    image_indices,
-    orbit_set_action,
+    normalizing_map_check,
     orbit_with_transversal,
     schreier_stabilizer,
 )
@@ -43,13 +44,13 @@ class CosetAction:
 
     def induced_perm(self, phi: Permutation):
         """Point permutation induced by a permutation phi normalizing G: with
-        y in G such that M^phi = M^y, the coset Mu goes to M y u^phi. None
-        when no such y exists or phi does not normalize G."""
+        y in G such that M^phi = M^y, i.e. y phi^-1 normalizes M, the coset
+        Mu goes to M y u^phi. None when no such y exists or phi does not
+        normalize G."""
         M = self.subgroup
         cosets = self.transversal.values()
         phinv = phi.inverse()
-        gens = [h.conjugate(phi, phinv) for h in M.gens]
-        y = next((y for y in cosets if all(h.conjugate(y.inverse(), y) in M for h in gens)), None)
+        y = next((y for y in cosets if normalizing_map_check(M, y * phinv)), None)
         if y is None:
             return None
         least = M.chain.least_in_coset
@@ -139,26 +140,16 @@ class Method2Design:
     block_transversal: dict  # block tuple -> conjugator from the base block
     block_images: list  # per generator of G: block index -> index of its image
 
-    def index_action(self):
-        """Action rule on single class indices, for orbit machinery."""
-        elems, idx = self.class_elems, self.index_of
-
-        def apply(value, x, xinv):
-            return image_indices(elems, idx, "conj", x, xinv, (value,))[0]
-
-        return apply
-
-    def index_set_action(self):
-        """Action rule on sorted tuples of class indices; the generators of G
-        read the class table."""
-        return orbit_set_action(self.class_elems, self.index_of, "conj", self.G.gens, self.class_images)
+    @cached_property
+    def class_table(self) -> ElementTable:
+        """The class elements as an ElementTable, built on first use."""
+        return ElementTable(self.class_elems)
 
     def induced_point_perm(self, phi: Permutation):
         """Point map induced by conjugation by phi; None if the class is not
-        preserved."""
-        elems = self.class_elems
-        imgs = image_indices(elems, self.index_of, "conj", phi, phi.inverse(), range(len(elems)))
-        return None if None in imgs else Permutation(imgs)
+        preserved. The generators of G have theirs in class_images."""
+        imgs = self.class_table.conjugate_indices(phi, phi.inverse(), slice(None))
+        return None if (imgs < 0).any() else Permutation(imgs.tolist())
 
     def conjugator_to(self, point: int) -> Permutation:
         """u in G with g^u = the class element at the given point index."""
@@ -186,14 +177,25 @@ def _stabilized_point(G: PermGroup, M: PermGroup):
     return pt
 
 
-def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT_CAP) -> Method2Design:
+def index_set_action(gens, class_images):
+    """Action rule on sorted tuples of class indices for the generators gens
+    of G, each reading its table in class_images."""
+    columns = dict(zip(gens, class_images))
+
+    def apply(value, x, xinv):
+        return tuple(sorted(map(columns[x].__getitem__, value)))
+
+    return apply
+
+
+def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
     """Points are the conjugacy class of g; the base block is its
     intersection with M, and blocks are the G-translates."""
     if g.is_identity():
         raise ValueError("g must be a nonidentity element of M")
     if g not in M:
         raise ValueError("g is not a member of M")
-    class_elems, trans, index_of, class_images = orbit_with_transversal(G, g, "conj", cap=cap)
+    class_elems, trans, index_of, class_images = orbit_with_transversal(G, g, "conj")
     pt = _stabilized_point(G, M)
     if pt is not None:
         # M is all of G fixing pt, and the class lies in G
@@ -202,8 +204,8 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
         base_block = tuple(i for i, h in enumerate(class_elems) if h in M)
     if not base_block:
         raise InternalInconsistency("class does not meet M")
-    on_blocks = orbit_set_action(class_elems, index_of, "conj", G.gens, class_images)
-    blocks, block_trans, _, block_images = orbit_with_transversal(G, base_block, on_blocks, cap=cap)
+    on_blocks = index_set_action(G.gens, class_images)
+    blocks, block_trans, _, block_images = orbit_with_transversal(G, base_block, on_blocks)
     expected_b = G.order() // M.order()
     if len(blocks) != expected_b:
         raise InternalInconsistency(
@@ -235,11 +237,6 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation, cap=DEFAULT_ORBIT
 def perm_char_value(G: PermGroup, M: PermGroup, g: Permutation, coset: CosetAction = None) -> int:
     """1_M^G(g): the number of cosets Mu with g in M^u, counted as fixed
     points of g on the cosets of M."""
-    if coset is None and _stabilized_point(G, M) is not None:
-        # the coset action is the natural action
-        if not G.is_transitive():
-            raise ValueError("point-stabilizer shortcut needs a transitive G")
-        return len(g.fixed_points())
     if coset is None:
         coset = coset_action(G, M)
     return coset.fixed_point_count(g)

@@ -37,10 +37,9 @@ class IncidenceStructure:
     """Points 0..v-1 and a list of blocks (sorted point tuples).
 
     The block list may repeat a block; multiplicity is tracked by position.
-    labels optionally ties point indices back to external objects.
     """
 
-    def __init__(self, v: int, blocks, labels=None):
+    def __init__(self, v: int, blocks):
         if v <= 0:
             raise ValueError("need at least one point")
         blocks = [tuple(sorted(b)) for b in blocks]
@@ -55,7 +54,6 @@ class IncidenceStructure:
                 raise ValueError("repeated point inside block %r" % (b,))
         self.v = v
         self.blocks = blocks
-        self.labels = labels
 
     @property
     def b(self):

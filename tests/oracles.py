@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 
 from designforge.errors import OrbitOverflow
+from designforge.group import act
 from designforge.perm import Permutation
 
 
@@ -87,6 +88,13 @@ def oracle_aut_order(D):
 
 
 # -- Method 2 actions by direct conjugation, the reference for the orbit tables
+
+
+def image_indices(orbit, index, kind, x, xinv, points):
+    """Orbit indices of the images under x of the orbit elements at the given
+    indices, None where an image leaves the orbit: x applied to one element
+    at a time."""
+    return [index.get(act(orbit[i], kind, x, xinv)) for i in points]
 
 
 def conjugate_index_set(design, value, x, xinv):

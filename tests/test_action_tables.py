@@ -6,7 +6,7 @@ import pytest
 
 from designforge.atlas import build_psl2, embed_pgl2
 from designforge.casestudies import mathieu_design
-from designforge.construct import method2_design
+from designforge.construct import index_set_action, method2_design
 from designforge.design import reduce_design
 from designforge.group import centralizer, element_of_order
 from designforge.perm import Permutation
@@ -56,13 +56,27 @@ def test_block_table_matches_conjugation(design):
     assert [Permutation(col) for col in design.block_images] == induced_dual_point_gens(design)
 
 
-def test_index_set_action_generators_and_others_agree(design):
-    act = design.index_set_action()
-    u = design.conjugator_to(len(design.class_elems) - 1)
-    for x in (*design.G.gens, u):
+def test_index_set_action_reads_generator_tables(design):
+    act = index_set_action(design.G.gens, design.class_images)
+    for x in design.G.gens:
         xinv = x.inverse()
         for blk in design.design.blocks[:5]:
             assert act(blk, x, xinv) == conjugate_index_set(design, blk, x, xinv)
+
+
+def test_induced_point_perm_matches_conjugation(design):
+    u = design.conjugator_to(len(design.class_elems) - 1)
+    w = design.block_transversal[design.design.blocks[-1]]
+    for x in (*design.G.gens, u, w):
+        xinv = x.inverse()
+        pi = design.induced_point_perm(x)
+        assert [(j,) for j in pi.images] == [
+            conjugate_index_set(design, (i,), x, xinv) for i in range(design.params.v)
+        ]
+    # a transposition normalizes neither PSL(2,9) nor M22: it leaves the class
+    swap = Permutation([1, 0] + list(range(2, design.G.degree)))
+    assert any(h.conjugate(swap) not in design.index_of for h in design.class_elems)
+    assert design.induced_point_perm(swap) is None
 
 
 def test_point_centralizers_match_centralizer(design):

@@ -16,7 +16,6 @@ from designforge.autsearch import (
     kernel_generators,
     lift_test_method1,
     lift_test_method2,
-    normalizing_map_check,
     reduction_kernel_order,
     verify_kernel_intersection,
     verify_kernel_quotient,
@@ -24,7 +23,7 @@ from designforge.autsearch import (
 from designforge.construct import method1_design, method2_design
 from designforge.design import IncidenceStructure, reduce_design, validate_1design, write_design
 from designforge.errors import BudgetExceeded
-from designforge.group import PermGroup, element_of_order
+from designforge.group import PermGroup, element_of_order, normalizing_map_check
 from designforge.perm import Permutation
 
 FANO = IncidenceStructure(

@@ -1,6 +1,6 @@
 import pytest
 
-from designforge.atlas import build_psl2, embed_pgl2, point_stabilizer_subgroup
+from designforge.atlas import build_alternating, build_psl2, embed_pgl2, point_stabilizer_subgroup
 from designforge.casestudies import (
     all_pass,
     claim,
@@ -13,7 +13,8 @@ from designforge.casestudies import (
     stab_claims,
 )
 from designforge.construct import method2_design
-from designforge.group import element_of_order
+from designforge.group import PermGroup, element_of_order
+from designforge.perm import Permutation
 
 
 def test_claim_shape():
@@ -75,6 +76,31 @@ def test_stabilizer_report_psl29_involution():
     assert rep.a_strategy == "element-intersection"
     assert rep.a_order == 4
     assert rep.h_order == 24
+    assert all_pass(stab_claims(rep))
+
+
+@pytest.mark.parametrize("order, a_order", [(2, 2), (5, 10)])
+def test_stabilizer_report_point_stabilizer_recipe_of_other_group(order, a_order):
+    # Stab_PSL(2,5)(0) carries a point-stabilizer recipe but is not Stab_A6(0),
+    # so A_x must come from the conjugates of M, not from x's fixed points
+    G = build_alternating(6)
+    M = point_stabilizer_subgroup(build_psl2(5), 0)
+    rep = class_stabilizer_report(method2_design(G, M, element_of_order(M, order)))
+    assert rep.a_strategy == "element-intersection"
+    assert rep.a_order == a_order
+    assert rep.class_meet_ok
+    assert all_pass(stab_claims(rep))
+
+
+def test_stabilizer_report_intransitive_point_stabilizer():
+    # G = S3 x S2 on {0,1,2} and {3,4}, M = Stab(0), x = (1 2): of the
+    # conjugates Stab(0), Stab(1), Stab(2) only M contains x, so A_x = M,
+    # though x also fixes 3 and 4
+    G = PermGroup([Permutation.from_cycles(5, c) for c in ([(0, 1, 2)], [(0, 1)], [(3, 4)])], 5)
+    M = point_stabilizer_subgroup(G, 0)
+    rep = class_stabilizer_report(method2_design(G, M, Permutation.from_cycles(5, [(1, 2)])))
+    assert rep.a_strategy == "pointwise-stabilizer"
+    assert rep.a_order == M.order() == 4
     assert all_pass(stab_claims(rep))
 
 

@@ -11,6 +11,7 @@ from designforge.atlas import (
     normalizer_of_cyclic,
     point_stabilizer_subgroup,
 )
+from designforge.autsearch import lift_test_method2
 from designforge.casestudies import _a6_second_s4
 from designforge.construct import (
     coset_action,
@@ -188,9 +189,9 @@ def test_method2_block_transversal_translates_base():
     M = point_stabilizer_subgroup(G, 0)
     g = element_of_order(M, 2)
     D2 = method2_design(G, M, g)
-    act = D2.index_set_action()
     for blk, u in D2.block_transversal.items():
-        assert act(D2.base_block, u, u.inverse()) == blk
+        pi = D2.induced_point_perm(u)
+        assert tuple(sorted(pi[p] for p in D2.base_block)) == blk
 
 
 def test_method2_conjugator_to():
@@ -217,6 +218,17 @@ def test_method2_induced_point_perm():
     )
 
 
+def test_method2_conjugator_of_other_degree_is_rejected():
+    G = build_psl2(9)
+    M = point_stabilizer_subgroup(G, 0)
+    D2 = method2_design(G, M, element_of_order(M, 2))
+    phi = Permutation(range(11))
+    with pytest.raises(ValueError):
+        D2.induced_point_perm(phi)
+    with pytest.raises(ValueError):
+        lift_test_method2(D2, phi)
+
+
 @pytest.mark.parametrize(
     "build, build_parent, pt, order, fixed",
     [
@@ -240,7 +252,7 @@ def test_method2_point_stabilizer_base_block_matches_sift(build, build_parent, p
     assert design.base_block == tuple(i for i, h in enumerate(design.class_elems) if h in M)
 
 
-def test_perm_char_point_stabilizer_shortcut():
+def test_perm_char_point_stabilizer():
     G = build_psl2(9)
     M = point_stabilizer_subgroup(G, 0)
     g = element_of_order(M, 2)
@@ -251,6 +263,14 @@ def test_perm_char_point_stabilizer_shortcut():
     M = point_stabilizer_subgroup(build_psl2(5), 0)
     g = element_of_order(M, 2)
     assert perm_char_value(G, M, g) == coset_action(G, M).fixed_point_count(g) == 4
+
+
+def test_perm_char_intransitive_point_stabilizer():
+    # G = S3 x S2 on {0,1,2} and {3,4}: the cosets of Stab(0) are 0's orbit
+    G = PermGroup([Permutation.from_cycles(5, c) for c in ([(0, 1, 2)], [(0, 1)], [(3, 4)])], 5)
+    M = point_stabilizer_subgroup(G, 0)
+    for cycles, fixed in (([(0, 1), (3, 4)], 1), ([(3, 4)], 3), ([(0, 1, 2)], 0)):
+        assert perm_char_value(G, M, Permutation.from_cycles(5, cycles)) == fixed
 
 
 def test_perm_char_equals_replication():

@@ -19,13 +19,12 @@ from designforge.group import (
     PermGroup,
     RowIndex,
     element_of_order,
-    image_indices,
     orbit_minima,
     orbit_with_transversal,
 )
 from designforge.perm import Permutation
 
-from oracles import refine_structured
+from oracles import image_indices, refine_structured
 
 RAGGED = IncidenceStructure(
     9,
@@ -174,9 +173,24 @@ def test_conjugate_indices_match_image_indices():
     assert -1 in found and max(found) >= 0
 
 
-def test_element_table_rejects_degree_above_256():
-    with pytest.raises(ValueError):
-        ElementTable([Permutation(range(257))])
+def test_element_table_degree_300_matches_image_indices():
+    # above degree 256 the table packs its rows with np.array, not bytes()
+    rng = Random(7)
+    n = 300
+    gens = [Permutation(rng.sample(range(n), n)) for _ in range(2)]
+    elems = [Permutation(range(n))] + gens + [gens[0] * gens[1], gens[1] * gens[0]]
+    index = {h: i for i, h in enumerate(elems)}
+    table = ElementTable(elems)
+    assert table.images.tolist() == [list(h.images) for h in elems]
+    points = np.arange(len(elems))
+    found = []
+    for x in gens + [gens[0] * gens[1], Permutation(rng.sample(range(n), n))]:
+        xinv = x.inverse()
+        old = image_indices(elems, index, "conj", x, xinv, points)
+        new = table.conjugate_indices(x, xinv, points)
+        assert new.tolist() == [-1 if j is None else j for j in old]
+        found.extend(new.tolist())
+    assert -1 in found and max(found) >= 1
 
 
 @settings(max_examples=100, deadline=None)
