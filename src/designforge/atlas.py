@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import InvalidField, InvalidGenerators
-from .gf import FieldElem, FieldSpec, field_make, is_square, subfield_embedding
+from .gf import FieldElem, FieldSpec, field_make, frobenius, is_square, subfield_embedding
 from .group import PermGroup, orbit_with_transversal, schreier_stabilizer
 from .perm import Permutation, read_generator_file
 
@@ -149,8 +149,7 @@ def frobenius_on_projline(q: int, i: int = 1) -> Permutation:
     """The permutation of PG(1,q) induced by x -> x^(p^i)."""
     p, k = _factor_prime_power(q)
     spec = field_make(p, k)
-    e = p**(i % k)
-    imgs = [(spec.from_int(n) ** e).to_int() for n in range(spec.size)]
+    imgs = [frobenius(spec.from_int(n), i).to_int() for n in range(spec.size)]
     imgs.append(spec.size)
     return Permutation(imgs)
 
@@ -223,6 +222,8 @@ def mathieu_group(n: int) -> PermGroup:
 
 def point_stabilizer_subgroup(G: PermGroup, pt: int) -> PermGroup:
     """Stabilizer of a point; maximal when G is primitive on its domain."""
+    if not 0 <= pt < G.degree:
+        raise ValueError("point %d is not in range(%d)" % (pt, G.degree))
     S = G.point_stabilizer(pt)
     name = G.recipe
     S.recipe = GroupRecipe(
@@ -237,7 +238,7 @@ def normalizer_of_cyclic(G: PermGroup, g: Permutation) -> PermGroup:
     """N_G(<g>): C_G(g) from g's class orbit, extended by an element u with
     g^u = g^i for each i prime to |g| with g^i in the class of g."""
     n = g.order()
-    orbit, trans, _, images = orbit_with_transversal(G, g, "conj")
+    orbit, trans, _, images = orbit_with_transversal(G, g, Permutation.conjugate)
     stab = schreier_stabilizer(G, orbit, trans, images)
     for i in range(2, n):
         if gcd(i, n) == 1 and g**i in trans:

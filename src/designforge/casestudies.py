@@ -27,7 +27,6 @@ from .construct import (
     Method2Design,
     _stabilized_point,
     coset_action,
-    index_set_action,
     method1_design,
     method2_design,
     perm_char_value,
@@ -46,6 +45,7 @@ from .group import (
     conjugacy_class,
     element_of_order,
     find_imprimitivity,
+    index_set_action,
     normalizing_map_check,
     orbit_minima,
     orbit_with_stabilizer,
@@ -192,9 +192,7 @@ def mathieu_design(n: int, order: int) -> Method2Design:
         raise ValueError("supported: n in {22,23,24}, order in {2,3}")
     G = mathieu_group(n)
     M = point_stabilizer_subgroup(G, n - 1)
-    g = element_of_order(
-        M, order, class_tag={"fixed_points": _MATHIEU_CLASS_FIXED[(n, order)]}
-    )
+    g = element_of_order(M, order, fixed_points=_MATHIEU_CLASS_FIXED[(n, order)])
     return method2_design(G, M, g)
 
 
@@ -475,6 +473,8 @@ def _a6_second_s4():
 def run_coset_orbit_family(aut_budget: int = 10**6, sample: int = None):
     """PSL(2,27) acting on the cosets of the order-26 dihedral normalizer:
     orbit census and the thirteen length-13-orbit designs."""
+    if sample is not None and sample < 0:
+        raise ValueError("sample must be at least 0, not %d" % sample)
     G0 = build_psl2(27)
     g13 = element_of_order(G0, 13)
     N = normalizer_of_cyclic(G0, g13)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import casestudies
@@ -46,13 +45,6 @@ EXIT_BUDGET = 3
 EXIT_INCONSISTENT = 4
 
 
-def _seed(args) -> int:
-    env = os.environ.get("DESIGNFORGE_SEED")
-    if env is not None:
-        return int(env)
-    return args.seed
-
-
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -81,7 +73,7 @@ def _collect_claims(obj, out):
 def _emit(args, report):
     report = dict(report)
     report["schema_version"] = SCHEMA_VERSION
-    report["seed"] = _seed(args)
+    report["seed"] = args.seed
     body = _jsonable(report)
     claims = []
     _collect_claims(body, claims)
@@ -139,6 +131,8 @@ def _parse_group(spec: str):
 def _parse_maximal(G, spec: str):
     kind, _, param = spec.partition(":")
     if kind == "pgl2":
+        if G.recipe is None or G.recipe.kind != "psl2":
+            raise ValueError("pgl2 subgroup needs a psl2 group")
         q2 = G.recipe.params["q"]
         q = int(round(q2**0.5))
         if q * q != q2:
@@ -162,8 +156,7 @@ def cmd_construct(args):
         if not args.maximal or not args.ord:
             raise ValueError("method 2 needs --maximal and --ord")
         M = _parse_maximal(G, args.maximal)
-        tag = {"fixed_points": args.fixed_points} if args.fixed_points is not None else None
-        g = element_of_order(M, args.ord, class_tag=tag, seed=_seed(args))
+        g = element_of_order(M, args.ord, fixed_points=args.fixed_points, seed=args.seed)
         design = method2_design(G, M, g)
     if args.out:
         write_design(args.out, design.design, design.params)
@@ -304,8 +297,7 @@ def cmd_examples(args):
 def cmd_stab(args):
     G = _parse_group(args.group)
     M = _parse_maximal(G, args.maximal)
-    tag = {"fixed_points": args.fixed_points} if args.fixed_points is not None else None
-    g = element_of_order(M, args.ord, class_tag=tag, seed=_seed(args))
+    g = element_of_order(M, args.ord, fixed_points=args.fixed_points, seed=args.seed)
     design = method2_design(G, M, g)
     rep = casestudies.class_stabilizer_report(design)
     report = {

@@ -13,6 +13,7 @@ from .group import (
     DEFAULT_ORBIT_CAP,
     ElementTable,
     PermGroup,
+    index_set_action,
     normalizing_map_check,
     orbit_with_transversal,
     schreier_stabilizer,
@@ -34,21 +35,21 @@ def stabilizer_orbits(G: PermGroup, alpha: int):
 @dataclass
 class CosetAction:
     """The action of G on the right cosets of a subgroup M, each named by its
-    least element on M's chain built on G's base. Faithful whenever G is
-    simple and M is proper (kernel = core of M = 1)."""
+    least element on M's chain built on G's base, which is a member of that
+    coset. Faithful whenever G is simple and M is proper (kernel = core of
+    M = 1)."""
 
     subgroup: PermGroup
     group: PermGroup  # image of G in Sym(index)
-    index_of: dict  # least element of a coset -> its point
-    transversal: dict  # least element of a coset -> u in G with that coset Mu
+    index_of: dict  # least element u of a coset Mu -> its point
 
     def induced_perm(self, phi: Permutation):
         """Point permutation induced by a permutation phi normalizing G: with
         y in G such that M^phi = M^y, i.e. y phi^-1 normalizes M, the coset
         Mu goes to M y u^phi. None when no such y exists or phi does not
-        normalize G."""
+        normalize G. Each u and y is the least element of its coset."""
         M = self.subgroup
-        cosets = self.transversal.values()
+        cosets = self.index_of
         phinv = phi.inverse()
         y = next((y for y in cosets if normalizing_map_check(M, y * phinv)), None)
         if y is None:
@@ -59,8 +60,8 @@ class CosetAction:
 
     def fixed_point_count(self, g: Permutation) -> int:
         """1_M^G(g): the number of cosets Mu that g fixes, i.e. of u with
-        u g u^-1 in M."""
-        return sum(g.conjugate(u.inverse(), u) in self.subgroup for u in self.transversal.values())
+        u g u^-1 in M, u the least element of its coset."""
+        return sum(g.conjugate(u.inverse(), u) in self.subgroup for u in self.index_of)
 
 
 def coset_action(G: PermGroup, M: PermGroup, cap=DEFAULT_ORBIT_CAP) -> CosetAction:
@@ -69,9 +70,9 @@ def coset_action(G: PermGroup, M: PermGroup, cap=DEFAULT_ORBIT_CAP) -> CosetActi
     M = PermGroup(M.gens, G.degree, base_hint=G.chain.base)
     least = M.chain.least_in_coset
     start = least(G.identity())
-    orbit, trans, index_of, images = orbit_with_transversal(G, start, lambda v, g, ginv: least(v * g), cap=cap)
+    orbit, _, index_of, images = orbit_with_transversal(G, start, lambda v, g, ginv: least(v * g), cap=cap)
     image = PermGroup([Permutation(col) for col in images], len(orbit))
-    return CosetAction(subgroup=M, group=image, index_of=index_of, transversal=trans)
+    return CosetAction(subgroup=M, group=image, index_of=index_of)
 
 
 # -- Method 1 ---------------------------------------------------------------
@@ -102,6 +103,10 @@ def method1_design(
     coset: CosetAction = None,
 ) -> Method1Design:
     """Blocks are the G-translates of a chosen nontrivial G_alpha-orbit."""
+    if not 0 <= alpha < G.degree:
+        raise ValueError("point %d is not in range(%d)" % (alpha, G.degree))
+    if orbit_index < 0:
+        raise ValueError("orbit index must be at least 0, not %d" % orbit_index)
     if not G.is_transitive():
         raise ValueError("group must be transitive on its domain")
     orbits = [o for o in stabilizer_orbits(G, alpha) if o != [alpha]]
@@ -110,7 +115,8 @@ def method1_design(
     if orbit_index >= len(orbits):
         raise ValueError("no stabilizer orbit with that selector")
     delta = tuple(orbits[orbit_index])
-    block_orbit = orbit_with_transversal(G, delta, "set")[0]
+    on_sets = index_set_action(G.gens, [g.images for g in G.gens])
+    block_orbit = orbit_with_transversal(G, delta, on_sets)[0]
     if len(block_orbit) != G.degree:
         raise InternalInconsistency(
             "expected %d distinct blocks, found %d" % (G.degree, len(block_orbit))
@@ -177,17 +183,6 @@ def _stabilized_point(G: PermGroup, M: PermGroup):
     return pt
 
 
-def index_set_action(gens, class_images):
-    """Action rule on sorted tuples of class indices for the generators gens
-    of G, each reading its table in class_images."""
-    columns = dict(zip(gens, class_images))
-
-    def apply(value, x, xinv):
-        return tuple(sorted(map(columns[x].__getitem__, value)))
-
-    return apply
-
-
 def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
     """Points are the conjugacy class of g; the base block is its
     intersection with M, and blocks are the G-translates."""
@@ -195,7 +190,7 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
         raise ValueError("g must be a nonidentity element of M")
     if g not in M:
         raise ValueError("g is not a member of M")
-    class_elems, trans, index_of, class_images = orbit_with_transversal(G, g, "conj")
+    class_elems, trans, index_of, class_images = orbit_with_transversal(G, g, Permutation.conjugate)
     pt = _stabilized_point(G, M)
     if pt is not None:
         # M is all of G fixing pt, and the class lies in G

@@ -300,27 +300,24 @@ def _pr_mix(state, rng):
 # Group actions
 
 
-def act(value, kind, g: Permutation, ginv: Permutation = None):
-    """Apply g to an action object.
+def index_set_action(gens, tables):
+    """Action on sorted tuples of indices for the generators gens, each
+    mapping index i to entry i of its table in tables: its images on points,
+    or its column of the tables orbit_with_transversal returns."""
+    columns = dict(zip(gens, tables))
 
-    Kinds: 'point' (natural), 'set' (on sorted point tuples), 'conj'
-    (conjugation on permutations), or any callable (value, g, ginv) -> value.
-    """
-    if callable(kind):
-        if ginv is None:
-            ginv = g.inverse()
-        return kind(value, g, ginv)
-    if kind == "point":
-        return g.images[value]
-    if kind == "set":
-        return tuple(sorted(g.images[i] for i in value))
-    if kind == "conj":
-        return value.conjugate(g, ginv)
-    raise ValueError("unknown action kind %r" % kind)
+    def apply(value, x, xinv):
+        return tuple(sorted(map(columns[x].__getitem__, value)))
+
+    return apply
 
 
-def orbit_with_transversal(G: PermGroup, value, kind, cap=DEFAULT_ORBIT_CAP):
+def orbit_with_transversal(G: PermGroup, value, action, cap=DEFAULT_ORBIT_CAP):
     """Orbit of value under G, with coset representatives and generator images.
+
+    action(value, g, ginv) is the image of value under a generator g of G,
+    given with its inverse: Permutation.conjugate for conjugation, or
+    index_set_action for sorted tuples.
 
     Returns (orbit list in discovery order, dict value -> perm u with
     value^u = that orbit element, dict value -> its orbit index, and one
@@ -335,7 +332,7 @@ def orbit_with_transversal(G: PermGroup, value, kind, cap=DEFAULT_ORBIT_CAP):
     for v in queue:
         rep = trans[v]
         for (g, ginv), col in zip(gens, images):
-            img = act(v, kind, g, ginv)
+            img = action(v, g, ginv)
             j = index.get(img)
             if j is None:
                 if len(queue) >= cap:
@@ -430,9 +427,10 @@ def orbit_minima(images, n: int):
         least = new
 
 
-def orbit_with_stabilizer(G: PermGroup, value, kind):
-    """Orbit and stabilizer; |orbit| * |stab| = |G| always holds."""
-    orbit, trans, _, images = orbit_with_transversal(G, value, kind)
+def orbit_with_stabilizer(G: PermGroup, value, action):
+    """Orbit and stabilizer under action(value, g, ginv); |orbit| * |stab| =
+    |G| always holds."""
+    orbit, trans, _, images = orbit_with_transversal(G, value, action)
     return orbit, schreier_stabilizer(G, orbit, trans, images)
 
 
@@ -458,37 +456,26 @@ def schreier_stabilizer(G: PermGroup, orbit, trans, images) -> PermGroup:
 
 def centralizer(G: PermGroup, g: Permutation) -> PermGroup:
     """C_G(g), the stabilizer of g under conjugation."""
-    _, stab = orbit_with_stabilizer(G, g, "conj")
+    _, stab = orbit_with_stabilizer(G, g, Permutation.conjugate)
     return stab
 
 
 def conjugacy_class(G: PermGroup, g: Permutation):
-    return orbit_with_transversal(G, g, "conj")[0]
+    return orbit_with_transversal(G, g, Permutation.conjugate)[0]
 
 
-def element_of_order(G: PermGroup, m: int, class_tag=None, seed=0, budget=4000):
-    """A group element of order exactly m, deterministically for a given seed.
-
-    class_tag disambiguates between classes of equal element order:
-    {'class_size': n} or {'fixed_points': n}.
-    """
+def element_of_order(G: PermGroup, m: int, fixed_points=None, seed=0, budget=4000):
+    """A group element of order exactly m, deterministically for a given seed;
+    with fixed_points given, one that fixes exactly that many points, which
+    tells apart classes of equal element order."""
+    if m < 1:
+        raise ValueError("element order must be at least 1, not %d" % m)
     if m == 1:
         return G.identity()
     rng = Random(seed)
 
     def matches(x):
-        if x.order() != m:
-            return False
-        if class_tag is None:
-            return True
-        if "fixed_points" in class_tag:
-            if len(x.fixed_points()) != class_tag["fixed_points"]:
-                return False
-        if "class_size" in class_tag:
-            size = G.order() // centralizer(G, x).order()
-            if size != class_tag["class_size"]:
-                return False
-        return True
+        return x.order() == m and (fixed_points is None or len(x.fixed_points()) == fixed_points)
 
     candidates = list(G.gens)
     for _ in range(budget):

@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 
 from designforge.errors import OrbitOverflow
-from designforge.group import act
+from designforge.group import index_set_action
 from designforge.perm import Permutation
 
 
@@ -87,14 +87,37 @@ def oracle_aut_order(D):
     return count
 
 
+# -- actions, one value at a time
+
+
+def point_image(value, g, ginv):
+    return g.images[value]
+
+
+def set_image(value, g, ginv):
+    """A sorted point tuple mapped by g point by point: the reference for
+    index_set_action on generator image tables."""
+    return tuple(sorted(g.images[i] for i in value))
+
+
+def named_action(G, kind):
+    """The action of G's generators on points, sorted point tuples or
+    permutations (by conjugation), by the name 'point', 'set' or 'conj'."""
+    if kind == "point":
+        return point_image
+    if kind == "set":
+        return index_set_action(G.gens, [g.images for g in G.gens])
+    return Permutation.conjugate
+
+
 # -- Method 2 actions by direct conjugation, the reference for the orbit tables
 
 
-def image_indices(orbit, index, kind, x, xinv, points):
+def image_indices(orbit, index, action, x, xinv, points):
     """Orbit indices of the images under x of the orbit elements at the given
     indices, None where an image leaves the orbit: x applied to one element
-    at a time."""
-    return [index.get(act(orbit[i], kind, x, xinv)) for i in points]
+    at a time by action(value, x, xinv)."""
+    return [index.get(action(orbit[i], x, xinv)) for i in points]
 
 
 def conjugate_index_set(design, value, x, xinv):
@@ -143,10 +166,10 @@ def induced_dual_point_gens(design):
 
 def coset_fixed_points_by_conjugation(ca, g):
     """Cosets Mu of a coset action fixed by g, counted as the conjugates
-    M^u, u in its transversal, that contain g; each conjugate is built by
-    conjugating every element of M."""
+    M^u, u the least element of each coset, that contain g; each conjugate
+    is built by conjugating every element of M."""
     elems = ca.subgroup.elements()
-    return sum(g in {x.conjugate(u) for x in elems} for u in ca.transversal.values())
+    return sum(g in {x.conjugate(u) for x in elems} for u in ca.index_of)
 
 
 def coset_action_by_conjugation(G, M):

@@ -6,9 +6,9 @@ import pytest
 
 from designforge.atlas import build_psl2, embed_pgl2
 from designforge.casestudies import mathieu_design
-from designforge.construct import index_set_action, method2_design
+from designforge.construct import method2_design
 from designforge.design import reduce_design
-from designforge.group import centralizer, element_of_order
+from designforge.group import centralizer, element_of_order, index_set_action
 from designforge.perm import Permutation
 from oracles import (
     block_orbit_bfs,

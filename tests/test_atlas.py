@@ -135,7 +135,7 @@ def test_mathieu_checks_shipped_generators(monkeypatch):
 
 def test_mathieu_involution_class_size():
     G = mathieu_group(22)
-    g = element_of_order(G, 2, class_tag={"fixed_points": 6})
+    g = element_of_order(G, 2, fixed_points=6)
     assert len(conjugacy_class(G, g)) == 1155
 
 

@@ -123,12 +123,25 @@ def test_report_file_and_text_format(tmp_path, capsys):
     assert saved["order"] == 168 and saved["schema_version"] == 1
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DESIGNFORGE_SEED", "99")
-    code, body = run_json(
-        capsys, "construct", "--method", "1", "--group", "symmetric:5", "--seed", "3"
-    )
-    assert code == 0 and body["seed"] == 99
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "stab --group alternating:5 --maximal pgl2 --ord 2",
+        "construct --method 2 --group mathieu:22 --maximal pgl2:squared --ord 2",
+        "stab --group psl2:9 --maximal point-stabilizer:99 --ord 2",
+        "construct --method 1 --group psl2:9 --point 50",
+        "stab --group psl2:9 --maximal pgl2:squared --ord 0",
+        "construct --method 1 --group psl2:4 --point -1",
+        "stab --group psl2:9 --maximal point-stabilizer:-1 --ord 2",
+        "construct --method 1 --group symmetric:4 --orbit-index -1",
+        "examples --sample -1",
+    ],
+)
+def test_out_of_range_argument_is_input_error(argv, capsys):
+    # each of these once crashed with a traceback, or was read through
+    # negative indexing as the last point or orbit
+    assert main(argv.split()) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_stab_command(capsys):

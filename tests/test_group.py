@@ -13,13 +13,14 @@ from designforge.group import (
     conjugacy_class,
     element_of_order,
     find_imprimitivity,
+    index_set_action,
     minimal_block_system,
     orbit_with_stabilizer,
     orbit_with_transversal,
     subgroup_closure,
 )
 from designforge.perm import Permutation, parse_cycle_string
-from oracles import naive_closure
+from oracles import naive_closure, named_action, point_image, set_image
 
 
 def sym(n):
@@ -199,7 +200,7 @@ def test_random_element_is_member_and_deterministic():
 
 def test_orbit_with_transversal_maps_base():
     G = sym(5)
-    orbit, trans, index, images = orbit_with_transversal(G, 0, "point")
+    orbit, trans, index, images = orbit_with_transversal(G, 0, point_image)
     assert sorted(orbit) == list(range(5))
     for pt, u in trans.items():
         assert u.images[0] == pt
@@ -209,14 +210,14 @@ def test_orbit_with_transversal_maps_base():
 
 def test_orbit_stabilizer_identity_point_action():
     G = sym(6)
-    orbit, stab = orbit_with_stabilizer(G, 3, "point")
+    orbit, stab = orbit_with_stabilizer(G, 3, point_image)
     assert len(orbit) * stab.order() == G.order()
     assert all(g.images[3] == 3 for g in stab.gens)
 
 
 def test_orbit_stabilizer_set_action():
     G = sym(5)
-    orbit, stab = orbit_with_stabilizer(G, (0, 1), "set")
+    orbit, stab = orbit_with_stabilizer(G, (0, 1), named_action(G, "set"))
     assert len(orbit) == 10
     assert stab.order() == 12
 
@@ -239,8 +240,25 @@ def test_orbit_stabilizer_product_identity(data):
         value = tuple(sorted(data.draw(st.permutations(list(range(n))))[:size]))
     else:
         value = data.draw(st.sampled_from(gens))
-    orbit, stab = orbit_with_stabilizer(G, value, kind)
+    orbit, stab = orbit_with_stabilizer(G, value, named_action(G, kind))
     assert len(orbit) * stab.order() == G.order()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_index_set_action_matches_set_image(data):
+    # the shared sorted-tuple action on generator image tables against the
+    # point-by-point rule
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, 3))
+    gens = [Permutation(data.draw(st.permutations(list(range(n))))) for _ in range(k)]
+    action = index_set_action(gens, [g.images for g in gens])
+    for _ in range(5):
+        size = data.draw(st.integers(0, n))
+        value = tuple(sorted(data.draw(st.permutations(list(range(n))))[:size]))
+        for g in gens:
+            ginv = g.inverse()
+            assert action(value, g, ginv) == set_image(value, g, ginv)
 
 
 def test_centralizer_and_class():
@@ -255,9 +273,9 @@ def test_centralizer_and_class():
 
 def test_element_of_order_with_tags():
     G = sym(6)
-    g = element_of_order(G, 2, class_tag={"fixed_points": 4})
+    g = element_of_order(G, 2, fixed_points=4)
     assert g.order() == 2 and len(g.fixed_points()) == 4
-    h = element_of_order(G, 2, class_tag={"fixed_points": 0, "class_size": 15})
+    h = element_of_order(G, 2, fixed_points=0)
     assert h.order() == 2 and len(h.fixed_points()) == 0
     with pytest.raises(NotFound):
         element_of_order(G, 7, budget=50)
@@ -294,5 +312,6 @@ def test_find_imprimitivity():
 
 
 def test_orbit_cap_enforced():
+    G = sym(10)
     with pytest.raises(OrbitOverflow):
-        orbit_with_transversal(sym(10), tuple(range(5)), "set", cap=10)
+        orbit_with_transversal(G, tuple(range(5)), named_action(G, "set"), cap=10)

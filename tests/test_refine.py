@@ -156,7 +156,7 @@ def test_row_index_finds_exactly(tables, collide):
 
 def test_conjugate_indices_match_image_indices():
     G = build_psl2(9)
-    elems, _, index, _ = orbit_with_transversal(G, element_of_order(G, 3), "conj")
+    elems, _, index, _ = orbit_with_transversal(G, element_of_order(G, 3), Permutation.conjugate)
     conjugators = list(G.gens) + [G.gens[0] * G.gens[1]]
     table = ElementTable(elems)
     rng = Random(5)
@@ -166,7 +166,7 @@ def test_conjugate_indices_match_image_indices():
     found = []
     for x in conjugators + others:
         xinv = x.inverse()
-        old = image_indices(elems, index, "conj", x, xinv, points)
+        old = image_indices(elems, index, Permutation.conjugate, x, xinv, points)
         new = table.conjugate_indices(x, xinv, points)
         assert new.tolist() == [-1 if j is None else j for j in old]
         found.extend(new.tolist())
@@ -186,7 +186,7 @@ def test_element_table_degree_300_matches_image_indices():
     found = []
     for x in gens + [gens[0] * gens[1], Permutation(rng.sample(range(n), n))]:
         xinv = x.inverse()
-        old = image_indices(elems, index, "conj", x, xinv, points)
+        old = image_indices(elems, index, Permutation.conjugate, x, xinv, points)
         new = table.conjugate_indices(x, xinv, points)
         assert new.tolist() == [-1 if j is None else j for j in old]
         found.extend(new.tolist())
