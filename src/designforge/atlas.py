@@ -12,7 +12,7 @@ from math import gcd
 
 from .errors import InvalidField, InvalidGenerators
 from .gf import FieldElem, FieldSpec, field_make, frobenius, is_square, subfield_embedding
-from .group import PermGroup, orbit_with_transversal, schreier_stabilizer
+from .group import PermGroup, index_set_action, orbit_with_stabilizer, orbit_with_transversal
 from .perm import Permutation, read_generator_file
 
 
@@ -235,14 +235,13 @@ def point_stabilizer_subgroup(G: PermGroup, pt: int) -> PermGroup:
 
 
 def normalizer_of_cyclic(G: PermGroup, g: Permutation) -> PermGroup:
-    """N_G(<g>): C_G(g) from g's class orbit, extended by an element u with
-    g^u = g^i for each i prime to |g| with g^i in the class of g."""
+    """N_G(<g>): the stabilizer, in g's class orbit, of the set of generators
+    g^i of <g> (i prime to |g|) that lie in that class."""
     n = g.order()
-    orbit, trans, _, images = orbit_with_transversal(G, g, Permutation.conjugate)
-    stab = schreier_stabilizer(G, orbit, trans, images)
-    for i in range(2, n):
-        if gcd(i, n) == 1 and g**i in trans:
-            stab.extend(trans[g**i])
+    _, index, images = orbit_with_transversal(G, g, Permutation.conjugate)
+    generators = [g**i for i in range(1, n) if gcd(i, n) == 1]
+    powers = tuple(sorted(index[h] for h in generators if h in index))
+    _, stab = orbit_with_stabilizer(G, powers, index_set_action(G.gens, images))
     name = G.recipe
     stab.recipe = GroupRecipe(
         "N(%s, <ord-%d>)" % (name.name if name else "G", g.order()),

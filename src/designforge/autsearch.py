@@ -23,7 +23,7 @@ import numpy as np
 
 from .design import IncidenceStructure, ReducedStructure
 from .errors import BudgetExceeded
-from .group import PermGroup, RowIndex
+from .group import PermGroup, RowIndex, orbit_minima
 from .perm import Permutation
 
 
@@ -169,14 +169,12 @@ class _Search:
         return None
 
     def _orbit_reps_filter(self, depth):
-        """Orbits of the point set under automorphisms fixing the first
-        `depth` base points; used to skip equivalent candidates."""
+        """The least point of each point's orbit under automorphisms fixing
+        the first `depth` base points; used to skip equivalent candidates."""
         rep = self._stab_cache.get(depth)
         if rep is None:
-            rep = [0] * self.v
-            for orb in self.group.pointwise_stabilizer(self.first_base[:depth]).orbits():
-                for x in orb:
-                    rep[x] = orb[0]
+            stab = self.group.pointwise_stabilizer(self.first_base[:depth])
+            rep = orbit_minima([np.array(g.images) for g in stab.gens], self.v).tolist()
             self._stab_cache[depth] = rep
         return rep
 
@@ -358,7 +356,7 @@ def lift_test_method2(design, phi: Permutation) -> bool:
     if pi is None:
         return False  # the class is not preserved
     img = tuple(sorted(pi[p] for p in design.base_block))
-    return img in design.block_transversal
+    return img in design.block_index
 
 
 @dataclass

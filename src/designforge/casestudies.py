@@ -49,6 +49,7 @@ from .group import (
     normalizing_map_check,
     orbit_minima,
     orbit_with_stabilizer,
+    schreier_stabilizer,
     subgroup_closure,
 )
 from .perm import Permutation
@@ -96,7 +97,9 @@ def _block_intersection_group(design: Method2Design):
 
     Two strategies: when M = Stab_G(pt) the conjugates containing x are the
     stabilizers of the points of pt^G that x fixes; otherwise, for small M,
-    intersect conjugated element sets directly.
+    intersect the element sets of the stabilizers of the blocks through x,
+    since the conjugate of M whose block is B is Stab_G(B) (the block orbit
+    has |G:M| blocks).
     """
     G, M = design.G, design.M
     x = design.class_elems[0]
@@ -106,18 +109,13 @@ def _block_intersection_group(design: Method2Design):
         A = G.pointwise_stabilizer([p for p in x.fixed_points() if p in orbit])
         return A, "pointwise-stabilizer"
     if M.order() <= 10**4:
-        melems = frozenset(M.elements())
+        blocks = design.design.blocks
         common = None
-        for blk in design.design.blocks:
-            if 0 not in blk:
-                continue
-            u = design.block_transversal[blk]
-            uinv = u.inverse()
-            conj = frozenset(m.conjugate(u, uinv) for m in melems)
-            common = conj if common is None else common & conj
-        gens = [p for p in common if not p.is_identity()]
-        A = PermGroup(gens, G.degree) if gens else PermGroup([], G.degree)
-        return A, "element-intersection"
+        for j, blk in enumerate(blocks):
+            if 0 in blk:
+                elems = frozenset(schreier_stabilizer(G, blocks, design.block_images, root=j).elements())
+                common = elems if common is None else common & elems
+        return PermGroup(common, G.degree), "element-intersection"
     return None, "not computed"
 
 
@@ -127,7 +125,8 @@ def class_stabilizer_report(design: Method2Design, compute_h: bool = True) -> St
     R = reduce_design(design.design, design.params)
     i_class = R.classes[R.class_of[0]]
     _, S = orbit_with_stabilizer(G, tuple(i_class), index_set_action(G.gens, design.class_images))
-    C, *i_centralizers = design.point_centralizers([0, *i_class])
+    i_centralizers = design.point_centralizers(i_class)
+    C = i_centralizers[0]  # classes list their points in order, so i_class starts at 0
     c_in_s = all(g in S for g in C.gens)
     xorbit = [design.index_of[y] for y in conjugacy_class(S, design.class_elems[0])]
     report = StabReport(

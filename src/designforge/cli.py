@@ -256,22 +256,6 @@ def cmd_mathieu(args):
     for n, o in pairs:
         rows.append(casestudies.run_mathieu_row(n, o, aut_budget=args.budget_nodes))
     report = {"command": "mathieu", "rows": rows}
-    if args.format == "text":
-        print("  n ord |I|     dual (v,b,k) t lam_t        Aut   Stab(b)")
-        for r in rows:
-            print(
-                "%3d %3d %3d %16s %d %5d %10d %9d"
-                % (
-                    r.n,
-                    r.g_order,
-                    r.i_size,
-                    (r.dual_params.v, r.dual_params.b, r.dual_params.k),
-                    r.t,
-                    r.lambda_t,
-                    r.aut_order,
-                    r.block_stab_order,
-                )
-            )
     return _emit(args, report)
 
 

@@ -70,7 +70,7 @@ def coset_action(G: PermGroup, M: PermGroup, cap=DEFAULT_ORBIT_CAP) -> CosetActi
     M = PermGroup(M.gens, G.degree, base_hint=G.chain.base)
     least = M.chain.least_in_coset
     start = least(G.identity())
-    orbit, _, index_of, images = orbit_with_transversal(G, start, lambda v, g, ginv: least(v * g), cap=cap)
+    orbit, index_of, images = orbit_with_transversal(G, start, lambda v, g, ginv: least(v * g), cap=cap)
     image = PermGroup([Permutation(col) for col in images], len(orbit))
     return CosetAction(subgroup=M, group=image, index_of=index_of)
 
@@ -140,10 +140,9 @@ class Method2Design:
     g: Permutation
     class_elems: list
     index_of: dict
-    class_transversal: dict  # element -> u with g^u = element
     class_images: list  # per generator of G: class index -> index of its conjugate
     base_block: tuple
-    block_transversal: dict  # block tuple -> conjugator from the base block
+    block_index: dict  # block tuple -> its index
     block_images: list  # per generator of G: block index -> index of its image
 
     @cached_property
@@ -157,15 +156,10 @@ class Method2Design:
         imgs = self.class_table.conjugate_indices(phi, phi.inverse(), slice(None))
         return None if (imgs < 0).any() else Permutation(imgs.tolist())
 
-    def conjugator_to(self, point: int) -> Permutation:
-        """u in G with g^u = the class element at the given point index."""
-        return self.class_transversal[self.class_elems[point]]
-
     def point_centralizers(self, points):
-        """C_G of the class elements at the given indices: C_G(g) comes from
-        the stored class orbit, and C_G(g^u) = C_G(g)^u."""
-        C = schreier_stabilizer(self.G, self.class_elems, self.class_transversal, self.class_images)
-        return [C.conjugate_group(self.conjugator_to(i)) for i in points]
+        """C_G of the class elements at the given indices, each the stabilizer
+        of its point in the class orbit."""
+        return [schreier_stabilizer(self.G, self.class_elems, self.class_images, root=i) for i in points]
 
 
 def _stabilized_point(G: PermGroup, M: PermGroup):
@@ -190,7 +184,7 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
         raise ValueError("g must be a nonidentity element of M")
     if g not in M:
         raise ValueError("g is not a member of M")
-    class_elems, trans, index_of, class_images = orbit_with_transversal(G, g, Permutation.conjugate)
+    class_elems, index_of, class_images = orbit_with_transversal(G, g, Permutation.conjugate)
     pt = _stabilized_point(G, M)
     if pt is not None:
         # M is all of G fixing pt, and the class lies in G
@@ -200,7 +194,7 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
     if not base_block:
         raise InternalInconsistency("class does not meet M")
     on_blocks = index_set_action(G.gens, class_images)
-    blocks, block_trans, _, block_images = orbit_with_transversal(G, base_block, on_blocks)
+    blocks, block_index, block_images = orbit_with_transversal(G, base_block, on_blocks)
     expected_b = G.order() // M.order()
     if len(blocks) != expected_b:
         raise InternalInconsistency(
@@ -218,10 +212,9 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
         g=g,
         class_elems=class_elems,
         index_of=index_of,
-        class_transversal=trans,
         class_images=class_images,
         base_block=base_block,
-        block_transversal=block_trans,
+        block_index=block_index,
         block_images=block_images,
     )
 

@@ -279,26 +279,17 @@ def subfield_embedding(small: FieldSpec, big: FieldSpec):
         raise InvalidField("no embedding of %r into %r" % (small, big))
     if small.k == 1:
         return {a: big.from_int(a.to_int()) for a in small.elements()}
-    root = None
-    for cand in big.elements():
+
+    def evaluate(coeffs, x):
         acc = big.zero
         power = big.one
-        for c in small.modulus:
+        for c in coeffs:
             if c:
                 acc = acc + power * big.from_int(c)
-            power = power * cand
-        if acc.is_zero():
-            root = cand
-            break
+            power = power * x
+        return acc
+
+    root = next((x for x in big.elements() if evaluate(small.modulus, x).is_zero()), None)
     if root is None:
         raise AssertionError("modulus has no root in the big field")
-    table = {}
-    for a in small.elements():
-        acc = big.zero
-        power = big.one
-        for c in a.coeffs:
-            if c:
-                acc = acc + power * big.from_int(c)
-            power = power * root
-        table[a] = acc
-    return table
+    return {a: evaluate(a.coeffs, root) for a in small.elements()}

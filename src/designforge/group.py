@@ -277,10 +277,6 @@ class PermGroup:
         _pr_mix(state, rng)
         return state[rng.randrange(len(state))]
 
-    def conjugate_group(self, x: Permutation) -> "PermGroup":
-        xinv = x.inverse()
-        return PermGroup([g.conjugate(x, xinv) for g in self.gens], self.degree)
-
     def __repr__(self):
         return "PermGroup(degree=%d, ngens=%d)" % (self.degree, len(self.gens))
 
@@ -313,24 +309,22 @@ def index_set_action(gens, tables):
 
 
 def orbit_with_transversal(G: PermGroup, value, action, cap=DEFAULT_ORBIT_CAP):
-    """Orbit of value under G, with coset representatives and generator images.
+    """Orbit of value under G, with generator images.
 
     action(value, g, ginv) is the image of value under a generator g of G,
     given with its inverse: Permutation.conjugate for conjugation, or
     index_set_action for sorted tuples.
 
-    Returns (orbit list in discovery order, dict value -> perm u with
-    value^u = that orbit element, dict value -> its orbit index, and one
-    tuple per generator of G holding the orbit index of each orbit element's
-    image under that generator).
+    Returns (orbit list in discovery order, dict value -> its orbit index,
+    and one tuple per generator of G holding the orbit index of each orbit
+    element's image under that generator). The tables hold the transversal:
+    schreier_stabilizer rebuilds its entries from them when it needs them.
     """
     gens = [(g, g.inverse()) for g in G.gens]
-    trans = {value: Permutation.identity(G.degree)}
     index = {value: 0}
     images = [[] for _ in gens]
     queue = [value]
     for v in queue:
-        rep = trans[v]
         for (g, ginv), col in zip(gens, images):
             img = action(v, g, ginv)
             j = index.get(img)
@@ -338,10 +332,9 @@ def orbit_with_transversal(G: PermGroup, value, action, cap=DEFAULT_ORBIT_CAP):
                 if len(queue) >= cap:
                     raise OrbitOverflow("orbit exceeds cap %d" % cap)
                 j = index[img] = len(queue)
-                trans[img] = rep * g
                 queue.append(img)
             col.append(j)
-    return queue, trans, index, [tuple(col) for col in images]
+    return queue, index, [tuple(col) for col in images]
 
 
 class RowIndex:
@@ -430,25 +423,39 @@ def orbit_minima(images, n: int):
 def orbit_with_stabilizer(G: PermGroup, value, action):
     """Orbit and stabilizer under action(value, g, ginv); |orbit| * |stab| =
     |G| always holds."""
-    orbit, trans, _, images = orbit_with_transversal(G, value, action)
-    return orbit, schreier_stabilizer(G, orbit, trans, images)
+    orbit, _, images = orbit_with_transversal(G, value, action)
+    return orbit, schreier_stabilizer(G, orbit, images)
 
 
-def schreier_stabilizer(G: PermGroup, orbit, trans, images) -> PermGroup:
-    """Stabilizer of orbit[0], from its orbit as orbit_with_transversal returns it.
+def schreier_stabilizer(G: PermGroup, orbit, images, root=0) -> PermGroup:
+    """Stabilizer of orbit[root], from the generator tables of its orbit as
+    orbit_with_transversal returns them.
 
-    One group is extended by Schreier generators until the orbit-stabilizer
-    identity certifies it complete: its order is |G| / |orbit|.
+    A breadth-first search from root over the tables makes the transversal
+    entry u g of an orbit element when it first reaches it along g from an
+    element with entry u (the Schreier tree of Sims's orbit algorithm). Each
+    edge v -g-> w it meets again gives the Schreier generator u_v g u_w^-1,
+    and one group is extended by these until the orbit-stabilizer identity
+    certifies it complete: its order is |G| / |orbit|.
     """
     target = G.order() // len(orbit)
     if target * len(orbit) != G.order():
         raise AssertionError("orbit size does not divide group order")
     stab = PermGroup([], G.degree)
-    for i, v in enumerate(orbit):
+    trans = {root: G.identity()}
+    queue = [root]
+    for v in queue:
+        u = trans[v]
         for g, col in zip(G.gens, images):
             if stab.order() == target:
                 return stab
-            stab.extend(trans[v] * g * trans[orbit[col[i]]].inverse())
+            w = col[v]
+            uw = trans.get(w)
+            if uw is None:
+                trans[w] = u * g
+                queue.append(w)
+            else:
+                stab.extend(u * g * uw.inverse())
     if stab.order() != target:
         raise AssertionError("Schreier generation did not reach stabilizer order")
     return stab

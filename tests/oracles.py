@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 
 from designforge.errors import OrbitOverflow
-from designforge.group import index_set_action
+from designforge.group import PermGroup, index_set_action
 from designforge.perm import Permutation
 
 
@@ -108,6 +108,46 @@ def named_action(G, kind):
     if kind == "set":
         return index_set_action(G.gens, [g.images for g in G.gens])
     return Permutation.conjugate
+
+
+# -- orbits with a stored transversal, the reference for schreier_stabilizer
+
+
+def orbit_with_stored_transversal(G, value, action):
+    """The orbit of value as group.orbit_with_transversal finds it, with one
+    stored transversal entry per orbit element: returns (orbit, dict value ->
+    u with value^u = that element, dict value -> orbit index, generator
+    tables)."""
+    gens = [(g, g.inverse()) for g in G.gens]
+    trans = {value: Permutation.identity(G.degree)}
+    index = {value: 0}
+    images = [[] for _ in gens]
+    queue = [value]
+    for v in queue:
+        rep = trans[v]
+        for (g, ginv), col in zip(gens, images):
+            img = action(v, g, ginv)
+            if img not in index:
+                index[img] = len(queue)
+                trans[img] = rep * g
+                queue.append(img)
+            col.append(index[img])
+    return queue, trans, index, [tuple(col) for col in images]
+
+
+def stored_schreier_stabilizer(G, orbit, trans, images):
+    """The stabilizer of orbit[0], extended by the Schreier generator of every
+    (orbit element, generator) pair in orbit order, read from the stored
+    transversal, until its order is |G| / |orbit|."""
+    target = G.order() // len(orbit)
+    stab = PermGroup([], G.degree)
+    for i, v in enumerate(orbit):
+        for g, col in zip(G.gens, images):
+            if stab.order() == target:
+                return stab
+            stab.extend(trans[v] * g * trans[orbit[col[i]]].inverse())
+    assert stab.order() == target
+    return stab
 
 
 # -- Method 2 actions by direct conjugation, the reference for the orbit tables

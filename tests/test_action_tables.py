@@ -1,5 +1,5 @@
 """The Method 2 orbit tables against direct conjugation (tests/oracles.py):
-same block order, same transversals, same generator images, same
+same block order, same generator images, same block stabilizers, same
 centralizers."""
 
 import pytest
@@ -8,13 +8,14 @@ from designforge.atlas import build_psl2, embed_pgl2
 from designforge.casestudies import mathieu_design
 from designforge.construct import method2_design
 from designforge.design import reduce_design
-from designforge.group import centralizer, element_of_order, index_set_action
+from designforge.group import centralizer, element_of_order, index_set_action, schreier_stabilizer
 from designforge.perm import Permutation
 from oracles import (
     block_orbit_bfs,
     class_table_by_conjugation,
     conjugate_index_set,
     induced_dual_point_gens,
+    orbit_with_stored_transversal,
 )
 
 
@@ -36,9 +37,18 @@ def design(request):
 
 
 def test_block_order_and_transversal_match_bfs(design):
+    # the stabilizer of block j is M^u, u the BFS transversal entry with
+    # base block^u = block j
     blocks, trans = block_orbit_bfs(design)
     assert design.design.blocks == blocks
-    assert list(design.block_transversal.items()) == list(trans.items())
+    assert design.block_index == {blk: j for j, blk in enumerate(blocks)}
+    M = design.M
+    for j, blk in enumerate(blocks):
+        stab = schreier_stabilizer(design.G, blocks, design.block_images, root=j)
+        u = trans[blk]
+        uinv = u.inverse()
+        assert stab.order() == M.order()
+        assert all(m.conjugate(u, uinv) in stab for m in M.gens)
 
 
 def test_class_table_matches_conjugation(design):
@@ -65,8 +75,11 @@ def test_index_set_action_reads_generator_tables(design):
 
 
 def test_induced_point_perm_matches_conjugation(design):
-    u = design.conjugator_to(len(design.class_elems) - 1)
-    w = design.block_transversal[design.design.blocks[-1]]
+    G, elems = design.G, design.class_elems
+    _, class_trans, _, _ = orbit_with_stored_transversal(G, elems[0], Permutation.conjugate)
+    _, block_trans = block_orbit_bfs(design)
+    u = class_trans[elems[-1]]
+    w = block_trans[design.design.blocks[-1]]
     for x in (*design.G.gens, u, w):
         xinv = x.inverse()
         pi = design.induced_point_perm(x)

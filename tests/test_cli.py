@@ -165,6 +165,20 @@ def test_mathieu_single_row_text(capsys):
     assert "887040" in out and "5760" in out
 
 
+def test_mathieu_text_is_the_rendered_report(tmp_path, capsys, monkeypatch):
+    # the text format is the one renderer applied to the JSON report, so
+    # each row is printed once
+    render = cli._render_text
+    bodies = []
+    monkeypatch.setattr(cli, "_render_text", lambda body: bodies.append(body) or render(body))
+    report = tmp_path / "report.json"
+    code, out = run(capsys, "mathieu", "--n", "22", "--ord", "2", "--format", "text", "--report", str(report))
+    assert code == 0
+    assert bodies == [json.loads(report.read_text())]
+    render(bodies[0])
+    assert out == capsys.readouterr().out
+
+
 def test_params_line_contradicting_blocks_is_input_error(tmp_path, capsys):
     # a 1-(4,3,3) design declared as 1-(4,3,9)
     path = tmp_path / "bad.design"

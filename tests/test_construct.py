@@ -21,9 +21,14 @@ from designforge.construct import (
     stabilizer_orbits,
 )
 from designforge.errors import OrbitOverflow
-from designforge.group import PermGroup, centralizer, conjugacy_class, element_of_order
+from designforge.group import PermGroup, centralizer, conjugacy_class, element_of_order, schreier_stabilizer
 from designforge.perm import Permutation, parse_cycle_string
-from oracles import coset_action_by_conjugation, coset_fixed_points_by_conjugation, faithfulness_check
+from oracles import (
+    block_orbit_bfs,
+    coset_action_by_conjugation,
+    coset_fixed_points_by_conjugation,
+    faithfulness_check,
+)
 
 
 def test_stabilizer_orbits_sorted():
@@ -184,23 +189,22 @@ def test_method2_rejects_bad_element():
 
 
 def test_method2_block_transversal_translates_base():
+    # the oracle's transversal entry u_j carries the base block to block j,
+    # and the stabilizer of block j, from root j, fixes it
     G = build_psl2(5)
     M = point_stabilizer_subgroup(G, 0)
     g = element_of_order(M, 2)
     D2 = method2_design(G, M, g)
-    for blk, u in D2.block_transversal.items():
-        pi = D2.induced_point_perm(u)
+    blocks = D2.design.blocks
+    _, trans = block_orbit_bfs(D2)
+    for j, blk in enumerate(blocks):
+        pi = D2.induced_point_perm(trans[blk])
         assert tuple(sorted(pi[p] for p in D2.base_block)) == blk
-
-
-def test_method2_conjugator_to():
-    G = build_psl2(5)
-    M = point_stabilizer_subgroup(G, 0)
-    g = element_of_order(M, 2)
-    D2 = method2_design(G, M, g)
-    for pt in range(0, D2.params.v, 3):
-        u = D2.conjugator_to(pt)
-        assert g.conjugate(u) == D2.class_elems[pt]
+        stab = schreier_stabilizer(G, blocks, D2.block_images, root=j)
+        assert stab.order() == M.order()
+        for x in stab.gens:
+            pi = D2.induced_point_perm(x)
+            assert tuple(sorted(pi[p] for p in blk)) == blk
 
 
 def test_method2_induced_point_perm():

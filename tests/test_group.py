@@ -17,10 +17,18 @@ from designforge.group import (
     minimal_block_system,
     orbit_with_stabilizer,
     orbit_with_transversal,
+    schreier_stabilizer,
     subgroup_closure,
 )
 from designforge.perm import Permutation, parse_cycle_string
-from oracles import naive_closure, named_action, point_image, set_image
+from oracles import (
+    naive_closure,
+    named_action,
+    orbit_with_stored_transversal,
+    point_image,
+    set_image,
+    stored_schreier_stabilizer,
+)
 
 
 def sym(n):
@@ -200,11 +208,13 @@ def test_random_element_is_member_and_deterministic():
 
 def test_orbit_with_transversal_maps_base():
     G = sym(5)
-    orbit, trans, index, images = orbit_with_transversal(G, 0, point_image)
+    orbit, index, images = orbit_with_transversal(G, 0, point_image)
     assert sorted(orbit) == list(range(5))
+    assert [index[pt] for pt in orbit] == list(range(5))
+    ref_orbit, trans, ref_index, ref_images = orbit_with_stored_transversal(G, 0, point_image)
+    assert (orbit, index, images) == (ref_orbit, ref_index, ref_images)
     for pt, u in trans.items():
         assert u.images[0] == pt
-    assert [index[pt] for pt in orbit] == list(range(5))
     assert images == [tuple(index[g.images[pt]] for pt in orbit) for g in G.gens]
 
 
@@ -242,6 +252,51 @@ def test_orbit_stabilizer_product_identity(data):
         value = data.draw(st.sampled_from(gens))
     orbit, stab = orbit_with_stabilizer(G, value, named_action(G, kind))
     assert len(orbit) * stab.order() == G.order()
+
+
+def stabilizer_cases(groups, seed, per_group):
+    """(G, action kind, value) triples as criterion 10(a) draws them."""
+    rng = Random(seed)
+    for G in groups:
+        for _ in range(per_group):
+            kind = rng.choice(["point", "set", "conj"])
+            if kind == "point":
+                value = rng.randrange(G.degree)
+            elif kind == "set":
+                value = tuple(sorted(rng.sample(range(G.degree), rng.randrange(1, G.degree + 1))))
+            else:
+                value = G.random_element(rng)
+            yield G, kind, value
+
+
+def test_schreier_stabilizer_root_0_matches_stored_transversal():
+    # from root 0 the search over the tables meets the stored transversal's
+    # entries and Schreier generators in the same order: the same generators
+    groups = [cyclic(12), dihedral(10), sym(5), sym(6), build_alternating(6), build_psl2(7), build_psl2(9)]
+    for G, kind, value in stabilizer_cases(groups, 1729, 6):
+        action = named_action(G, kind)
+        orbit, index, images = orbit_with_transversal(G, value, action)
+        ref_orbit, trans, _, ref_images = orbit_with_stored_transversal(G, value, action)
+        assert (orbit, images) == (ref_orbit, ref_images)
+        expected = stored_schreier_stabilizer(G, ref_orbit, trans, ref_images)
+        assert schreier_stabilizer(G, orbit, images).gens == expected.gens, (kind, value)
+
+
+SAME_ACTION = {"point": point_image, "set": set_image, "conj": Permutation.conjugate}
+
+
+def test_schreier_stabilizer_every_root_matches_closure():
+    # the stabilizer of each orbit element is the set of group elements
+    # fixing it, on groups of order at most 720
+    groups = [dihedral(10), sym(4), build_alternating(5), build_psl2(7), sym(6)]
+    for G, kind, value in stabilizer_cases(groups, 7, 4):
+        elems = naive_closure(G.gens, G.degree)
+        act = SAME_ACTION[kind]
+        orbit, _, images = orbit_with_transversal(G, value, named_action(G, kind))
+        for j, v in enumerate(orbit):
+            fixing = {x for x in elems if act(v, x, x.inverse()) == v}
+            stab = schreier_stabilizer(G, orbit, images, root=j)
+            assert set(stab.elements()) == fixing, (kind, value, j)
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,14 +340,6 @@ def test_subgroup_closure_rejects_outsiders():
     G = PermGroup([parse_cycle_string("(1,2,3)", 4)], 4)
     with pytest.raises(NotASubgroupElement):
         subgroup_closure(G, [parse_cycle_string("(1,2)", 4)])
-
-
-def test_conjugate_group():
-    G = cyclic(5)
-    x = parse_cycle_string("(1,2)", 5)
-    H = G.conjugate_group(x)
-    assert H.order() == 5
-    assert all(g.conjugate(x) in H for g in G.gens)
 
 
 def test_minimal_block_system_cyclic():

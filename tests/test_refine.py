@@ -156,7 +156,7 @@ def test_row_index_finds_exactly(tables, collide):
 
 def test_conjugate_indices_match_image_indices():
     G = build_psl2(9)
-    elems, _, index, _ = orbit_with_transversal(G, element_of_order(G, 3), Permutation.conjugate)
+    elems, index, _ = orbit_with_transversal(G, element_of_order(G, 3), Permutation.conjugate)
     conjugators = list(G.gens) + [G.gens[0] * G.gens[1]]
     table = ElementTable(elems)
     rng = Random(5)

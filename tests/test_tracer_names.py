@@ -1,14 +1,19 @@
 """The names perfbench/tracer.py wraps must exist in the package: the tracer
 patches them when a traced benchmark run starts, so a missing one fails that
 run with AttributeError, which no other test would notice. The tracer is read
-with ast, never imported or run."""
+with ast, never imported or run. The results its after-hooks read must keep
+their shape too."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+from designforge.atlas import build_psl2, point_stabilizer_subgroup
 from designforge.autsearch import aut_group
+from designforge.construct import method2_design
+from designforge.design import IncidenceStructure
+from designforge.group import element_of_order, orbit_with_transversal
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PATCHED_CLASSES = {"PermGroup": "group", "Permutation": "perm"}
@@ -78,3 +83,16 @@ def test_tracer_names_exist():
     names, arguments = wrapped_names(TRACER.read_text())
     assert len(names) >= 23 and arguments == {"budget"}
     assert missing_names(names, arguments) == []
+
+
+def test_traced_result_shapes():
+    # the tracer's after-hooks read len(orbit_with_transversal(...)[0]),
+    # aut_group(...).nodes against its budget, and method2_design(...).design.b
+    G = build_psl2(5)
+    res = orbit_with_transversal(G, 0, lambda v, g, ginv: g.images[v])
+    assert len(res[0]) == G.degree
+    aut = aut_group(IncidenceStructure(4, [(0, 1), (2, 3), (0, 2), (1, 3)]), budget=100)
+    assert isinstance(aut.nodes, int) and 0 < aut.nodes <= 100
+    M = point_stabilizer_subgroup(G, 0)
+    design = method2_design(G, M, element_of_order(M, 2))
+    assert design.design.b == G.order() // M.order()
