@@ -8,9 +8,10 @@ path invariants and by orbits of the automorphisms found so far.
 Refinement ranks integer signature tables with _lex_rank: rows of
 non-negative integers, written as big-endian words and ranked as one np.void
 item each by a 1-D np.unique, which orders them lexicographically. Colour
-numbers so depend only on signature values, never on labels. A candidate
-leaf is checked, and a generator extended to the blocks, by looking up the
-sorted images of all blocks at once in a group.RowIndex.
+numbers so depend only on signature values, never on labels. Refinement
+runs on the rows of the structure's BlockTable, whose images check a
+candidate leaf, extend a generator to the blocks, and answer
+is_design_automorphism, fixes_every_block and lift_test_method1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .design import IncidenceStructure, ReducedStructure
 from .errors import BudgetExceeded
-from .group import PermGroup, RowIndex, orbit_minima
+from .group import PermGroup
 from .perm import Permutation
 
 
@@ -69,25 +70,13 @@ class _Search:
         self.v = D.v
         self.budget = budget
         self.nodes = 0
-        mult = D.block_multiset()
-        self.dblocks = sorted(mult)
-        self.nb = len(self.dblocks)
-        kmax = max(len(b) for b in self.dblocks)
-        # pad ragged blocks with a virtual point of sentinel color
-        arr = np.full((self.nb, kmax), self.v, dtype=np.int64)
-        for j, blk in enumerate(self.dblocks):
-            arr[j, : len(blk)] = blk
-        self.blocks_arr = arr
-        pt = []
-        bk = []
-        for j, blk in enumerate(self.dblocks):
-            pt.extend(blk)
-            bk.extend([j] * len(blk))
-        self.pt_idx = np.array(pt, dtype=np.int64)
-        self.blk_idx = np.array(bk, dtype=np.int64)
-        self.mult_arr = np.array([mult[b] for b in self.dblocks], dtype=np.int64)
-        self.block_index = RowIndex(arr)
-        self.bcolor0 = _lex_rank([(len(b), mult[b]) for b in self.dblocks])[0]
+        # ragged blocks are padded with a virtual point of sentinel color
+        self.table = table = D.table
+        self.nb = len(table.rows)
+        incident = table.rows < self.v
+        self.pt_idx = table.rows[incident]
+        self.blk_idx = np.nonzero(incident)[0]
+        self.bcolor0 = _lex_rank(np.column_stack([incident.sum(axis=1), table.mult]))[0]
         self.pcolor0 = np.zeros(self.v, dtype=np.int64)
         # search state
         self.first_invs = {}
@@ -111,7 +100,7 @@ class _Search:
         while True:
             # point colors shifted by one, so that the pad, 0, sorts first
             pc_ext = np.append(pcolor + 1, 0)
-            bsig = np.column_stack([bcolor, np.sort(pc_ext[self.blocks_arr], axis=1)])
+            bsig = np.column_stack([bcolor, np.sort(pc_ext[self.table.rows], axis=1)])
             bcolor, bfirst = _lex_rank(bsig)
             nub = len(bfirst)
             psig = np.empty((self.v, 1 + nub), dtype=">u8")
@@ -144,16 +133,6 @@ class _Search:
 
     # -- candidate handling -------------------------------------------------
 
-    def block_images(self, images):
-        """Index of each distinct block's image under the point map given
-        by the int array images, or None when some image is not a block of
-        the same multiplicity."""
-        rows = np.sort(np.append(images, self.v)[self.blocks_arr], axis=1)
-        j = self.block_index.find(rows)
-        if (j < 0).any() or (self.mult_arr[j] != self.mult_arr).any():
-            return None
-        return j
-
     def _leaf(self, pcolor, dev_level):
         if self.first_leaf is None:
             self.first_leaf = np.argsort(pcolor)  # color -> point
@@ -162,7 +141,7 @@ class _Search:
         images = np.empty(self.v, dtype=np.int64)
         images[self.first_leaf] = np.argsort(pcolor)
         perm = Permutation(images.tolist())
-        if not perm.is_identity() and self.block_images(images) is not None:
+        if not perm.is_identity() and self.table.images(perm) is not None:
             if self.group.extend(perm):
                 self._stab_cache.clear()
             return dev_level
@@ -174,7 +153,7 @@ class _Search:
         rep = self._stab_cache.get(depth)
         if rep is None:
             stab = self.group.pointwise_stabilizer(self.first_base[:depth])
-            rep = orbit_minima([np.array(g.images) for g in stab.gens], self.v).tolist()
+            rep = stab.orbit_minima().tolist()
             self._stab_cache[depth] = rep
         return rep
 
@@ -214,11 +193,6 @@ class _Search:
         return None
 
 
-def _extend_to_blocks(search: _Search, point_perm: Permutation) -> Permutation:
-    j = search.block_images(np.array(point_perm.images))
-    return Permutation(point_perm.images + tuple((j + search.v).tolist()))
-
-
 def aut_group(D: IncidenceStructure, budget: int = 10**6) -> AutResult:
     """Full automorphism group of D, or the subgroup found before the node
     budget ran out (flagged incomplete). The search takes a Python frame per
@@ -233,7 +207,8 @@ def aut_group(D: IncidenceStructure, budget: int = 10**6) -> AutResult:
         raise BudgetExceeded("search tree deeper than the recursion limit %d" % sys.getrecursionlimit()) from None
     K = search.group
     point_gens = list(K.gens)
-    gens = [_extend_to_blocks(search, g) for g in point_gens]
+    # each generator extended to the distinct blocks, numbered from v on
+    gens = [Permutation(g.images + tuple((D.table.images(g) + D.v).tolist())) for g in point_gens]
     block_transitive = False
     if point_gens:
         full = PermGroup(gens, D.v + search.nb)
@@ -288,14 +263,12 @@ def expand_class_perm(R: ReducedStructure, sigma: Permutation) -> Permutation:
 
 
 def is_design_automorphism(D: IncidenceStructure, perm: Permutation) -> bool:
-    mult = D.block_multiset()
-    return all(
-        mult.get(tuple(sorted(perm[p] for p in blk))) == m for blk, m in mult.items()
-    )
+    return D.table.images(perm) is not None
 
 
 def fixes_every_block(D: IncidenceStructure, perm: Permutation) -> bool:
-    return all(tuple(sorted(perm[p] for p in blk)) == blk for blk in set(D.blocks))
+    j = D.table.images(perm)
+    return j is not None and np.array_equal(j, np.arange(len(j)))
 
 
 @dataclass
@@ -343,20 +316,18 @@ def lift_test_method1(design, pi: Permutation) -> bool:
     """Whether pi, the point map a normalizing map induces on a
     stabilizer-orbit design (its `induced_point_perm`, None when the points
     are not preserved), permutes the design's blocks."""
-    if pi is None:
-        return False
-    blocks = set(design.design.blocks)
-    return all(tuple(sorted(pi[p] for p in blk)) in blocks for blk in blocks)
+    return pi is not None and is_design_automorphism(design.design, pi)
 
 
 def lift_test_method2(design, phi: Permutation) -> bool:
     """Whether phi preserves the point class and carries the base block to a
     block of a conjugacy-class design."""
-    pi = design.induced_point_perm(phi)
-    if pi is None:
-        return False  # the class is not preserved
-    img = tuple(sorted(pi[p] for p in design.base_block))
-    return img in design.block_index
+    return _carries_base_block(design, design.induced_point_perm(phi))
+
+
+def _carries_base_block(design, pi) -> bool:
+    """Whether pi, None when the class is not preserved, maps the base block to a block."""
+    return pi is not None and tuple(sorted(pi[p] for p in design.base_block)) in design.block_index
 
 
 @dataclass
@@ -375,7 +346,7 @@ def verify_kernel_intersection(design, phis) -> IntersectionReport:
     ok = True
     for phi in phis:
         pi = design.induced_point_perm(phi)
-        good = pi is not None and lift_test_method2(design, phi)
+        good = _carries_base_block(design, pi)
         lifted.append(good)
         if not good or pi.is_identity():
             moves.append(None)

@@ -102,8 +102,9 @@ def _render_text(body):
                     c["observed"],
                 )
                 print("%s: %s %s" % (prefix, c["claim"], status))
-        elif isinstance(obj, list):
-            print("%s: %s" % (prefix, obj))
+        elif isinstance(obj, list) and obj and isinstance(obj[0], dict):
+            for i, item in enumerate(obj):
+                walk("%s[%d]" % (prefix, i), item)
         else:
             print("%s: %s" % (prefix, obj))
 

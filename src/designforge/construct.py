@@ -14,7 +14,6 @@ from .group import (
     ElementTable,
     PermGroup,
     index_set_action,
-    normalizing_map_check,
     orbit_with_transversal,
     schreier_stabilizer,
 )
@@ -43,25 +42,28 @@ class CosetAction:
     group: PermGroup  # image of G in Sym(index)
     index_of: dict  # least element u of a coset Mu -> its point
 
+    def point(self, z: Permutation):
+        """The point of the coset Mz; None when z is not in G."""
+        return self.index_of.get(self.subgroup.chain.least_in_coset(z))
+
     def induced_perm(self, phi: Permutation):
-        """Point permutation induced by a permutation phi normalizing G: with
-        y in G such that M^phi = M^y, i.e. y phi^-1 normalizes M, the coset
-        Mu goes to M y u^phi. None when no such y exists or phi does not
-        normalize G. Each u and y is the least element of its coset."""
-        M = self.subgroup
-        cosets = self.index_of
+        """Point permutation induced by a permutation phi normalizing G: the
+        coset Mu goes to M y u^phi, My the first coset fixed by every
+        generator of M^phi. Then M^phi <= M^y, so the two are equal. None
+        when no coset is fixed or phi does not normalize G. Each u and y is
+        the least element of its coset."""
         phinv = phi.inverse()
-        y = next((y for y in cosets if normalizing_map_check(M, y * phinv)), None)
+        gens = [h.conjugate(phi, phinv) for h in self.subgroup.gens]
+        y = next((y for y, i in self.index_of.items() if all(self.point(y * h) == i for h in gens)), None)
         if y is None:
             return None
-        least = M.chain.least_in_coset
-        imgs = [self.index_of.get(least(y * u.conjugate(phi, phinv))) for u in cosets]
+        imgs = [self.point(y * u.conjugate(phi, phinv)) for u in self.index_of]
         return None if None in imgs else Permutation(imgs)
 
     def fixed_point_count(self, g: Permutation) -> int:
-        """1_M^G(g): the number of cosets Mu that g fixes, i.e. of u with
-        u g u^-1 in M, u the least element of its coset."""
-        return sum(g.conjugate(u.inverse(), u) in self.subgroup for u in self.index_of)
+        """1_M^G(g): the number of cosets Mu that g fixes, i.e. with Mug = Mu,
+        u the least element of its coset."""
+        return sum(self.point(u * g) == i for u, i in self.index_of.items())
 
 
 def coset_action(G: PermGroup, M: PermGroup, cap=DEFAULT_ORBIT_CAP) -> CosetAction:

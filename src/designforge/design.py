@@ -4,8 +4,11 @@ and the block-intersection reduction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -14,6 +17,7 @@ from .errors import (
     NotTDesign,
     PartitionViolation,
 )
+from .group import RowIndex
 
 
 @dataclass(frozen=True)
@@ -65,21 +69,12 @@ class IncidenceStructure:
             out[blk] = out.get(blk, 0) + 1
         return out
 
-    def has_repeated_blocks(self):
-        return len(self.block_multiset()) != self.b
-
     def point_degrees(self):
         deg = [0] * self.v
         for blk in self.blocks:
             for p in blk:
                 deg[p] += 1
         return deg
-
-    def blocks_through(self, x: int):
-        """Indices of all blocks containing x."""
-        if not 0 <= x < self.v:
-            raise ValueError("point out of range")
-        return [i for i, blk in enumerate(self.blocks) if x in set(blk)]
 
     def incidence_lists(self):
         """Per-point lists of incident block indices, computed in one sweep."""
@@ -88,6 +83,11 @@ class IncidenceStructure:
             for p in blk:
                 through[p].append(i)
         return through
+
+    @cached_property
+    def table(self) -> "BlockTable":
+        """The distinct blocks as a BlockTable, built on first use."""
+        return BlockTable(self)
 
     def __eq__(self, other):
         return (
@@ -98,6 +98,34 @@ class IncidenceStructure:
 
     def __repr__(self):
         return "IncidenceStructure(v=%d, b=%d)" % (self.v, self.b)
+
+
+class BlockTable:
+    """The distinct blocks of a structure in sorted(block_multiset()) order:
+    rows, the blocks as int rows padded with v; mult, their multiplicities;
+    and a RowIndex over the rows."""
+
+    def __init__(self, D: IncidenceStructure):
+        mult = D.block_multiset()
+        blocks = sorted(mult)
+        self.v = D.v
+        self.rows = np.full((len(blocks), max(map(len, blocks))), D.v, dtype=np.int64)
+        for j, blk in enumerate(blocks):
+            self.rows[j, : len(blk)] = blk
+        self.mult = np.array([mult[b] for b in blocks], dtype=np.int64)
+        self.index = RowIndex(self.rows)
+
+    def images(self, perm):
+        """The index of each distinct block's image under the point
+        permutation perm, or None when some image is not a block of the same
+        multiplicity."""
+        if perm.degree != self.v:
+            raise ValueError("degree mismatch: %d points, permutation of %d" % (self.v, perm.degree))
+        rows = np.sort(np.append(perm.images, self.v)[self.rows], axis=1)
+        j = self.index.find(rows)
+        if (j < 0).any() or (self.mult[j] != self.mult).any():
+            return None
+        return j
 
 
 def validate_1design(D: IncidenceStructure) -> DesignParams:

@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 
 from designforge.errors import OrbitOverflow
-from designforge.group import PermGroup, index_set_action
+from designforge.group import PermGroup, index_set_action, normalizing_map_check
 from designforge.perm import Permutation
 
 
@@ -85,6 +85,65 @@ def oracle_aut_order(D):
 
     extend([], set())
     return count
+
+
+# -- block images one block at a time, the reference for BlockTable.images
+
+
+def is_automorphism_by_multiset(D, perm):
+    """Whether perm maps each distinct block to a block of the same
+    multiplicity, block by block through the block multiset."""
+    mult = D.block_multiset()
+    return all(mult.get(tuple(sorted(perm[p] for p in blk))) == m for blk, m in mult.items())
+
+
+def fixes_every_block_by_sets(D, perm):
+    """Whether perm maps each distinct block to itself, block by block."""
+    return all(tuple(sorted(perm[p] for p in blk)) == blk for blk in set(D.blocks))
+
+
+def block_images_by_sorting(D, perm):
+    """Each distinct block's index in sorted(block_multiset()), looked up one
+    image at a time; None when some image is not a block of the same
+    multiplicity."""
+    mult = D.block_multiset()
+    dblocks = sorted(mult)
+    where = {blk: j for j, blk in enumerate(dblocks)}
+    out = []
+    for blk in dblocks:
+        img = tuple(sorted(perm[p] for p in blk))
+        if mult.get(img) != mult[blk]:
+            return None
+        out.append(where[img])
+    return out
+
+
+# -- orbits by breadth-first search, the reference for PermGroup.orbit_minima
+
+
+def bfs_orbit(gens, point):
+    """The orbit of point under gens, in breadth-first discovery order."""
+    orb = {point}
+    queue = [point]
+    for pt in queue:
+        for g in gens:
+            img = g.images[pt]
+            if img not in orb:
+                orb.add(img)
+                queue.append(img)
+    return queue
+
+
+def bfs_orbits(gens, degree):
+    """All orbits on range(degree), each sorted, ordered by least element."""
+    seen = set()
+    out = []
+    for pt in range(degree):
+        if pt not in seen:
+            orb = bfs_orbit(gens, pt)
+            seen.update(orb)
+            out.append(sorted(orb))
+    return out
 
 
 # -- actions, one value at a time
@@ -212,6 +271,27 @@ def coset_fixed_points_by_conjugation(ca, g):
     return sum(g in {x.conjugate(u) for x in elems} for u in ca.index_of)
 
 
+def coset_fixed_points_by_sifting(ca, g):
+    """Cosets Mu fixed by g, counted as the least elements u with u g u^-1
+    in M, each tested by a sift through M's chain."""
+    return sum(g.conjugate(u.inverse(), u) in ca.subgroup for u in ca.index_of)
+
+
+def induced_perm_by_normalizer_scan(ca, phi):
+    """The point permutation a coset action's induced_perm returns, with y
+    found by scanning the cosets' least elements for the first one with
+    y phi^-1 normalizing M, and each image coset looked up by its least
+    element."""
+    M = ca.subgroup
+    phinv = phi.inverse()
+    y = next((y for y in ca.index_of if normalizing_map_check(M, y * phinv)), None)
+    if y is None:
+        return None
+    least = M.chain.least_in_coset
+    imgs = [ca.index_of.get(least(y * u.conjugate(phi, phinv))) for u in ca.index_of]
+    return None if None in imgs else Permutation(imgs)
+
+
 def coset_action_by_conjugation(G, M):
     """G acting by conjugation on the conjugates of M's element set, found by
     a hand-written breadth-first search from M: the action on the cosets of
@@ -269,7 +349,7 @@ def refine_structured(search, pcolor, bcolor):
     ncp, ncb = pcolor.max() + 1, bcolor.max() + 1
     while True:
         pc_ext = np.append(pcolor, -1)
-        sig = np.column_stack([bcolor, np.sort(pc_ext[search.blocks_arr], axis=1)])
+        sig = np.column_stack([bcolor, np.sort(pc_ext[search.table.rows], axis=1)])
         ub, bcolor = np.unique(sig, axis=0, return_inverse=True)
         bcolor = bcolor.ravel()
         counts = np.zeros((search.v, len(ub)), dtype=np.int64)

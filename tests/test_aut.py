@@ -206,3 +206,19 @@ def test_verify_kernel_intersection():
     rep = verify_kernel_intersection(dsn, [frobenius_on_projline(9)] + list(G.gens))
     assert rep.ok
     assert all(rep.lifted)
+
+
+def test_verify_kernel_intersection_agrees_with_lift_test():
+    # on the PGL(2,3) class design the diagonal map preserves the class but
+    # does not lift, and maps that lift move some block
+    from designforge.atlas import diagonal_map_on_projline, embed_pgl2, frobenius_on_projline
+
+    G = build_psl2(9)
+    M = embed_pgl2(3, "squared")
+    dsn = method2_design(G, M, element_of_order(M, 2))
+    diag, frob = diagonal_map_on_projline(9), frobenius_on_projline(9)
+    phis = [diag, frob, diag * frob] + list(G.gens)
+    rep = verify_kernel_intersection(dsn, phis)
+    assert rep.lifted == [lift_test_method2(dsn, phi) for phi in phis]
+    assert rep.lifted[:2] == [False, True]
+    assert rep.ok and rep.moves_block[0] is None and rep.moves_block[1] is True

@@ -179,6 +179,19 @@ def test_mathieu_text_is_the_rendered_report(tmp_path, capsys, monkeypatch):
     assert out == capsys.readouterr().out
 
 
+def test_mathieu_text_prints_one_field_per_line(capsys):
+    # the rows are walked field by field under rows[i], and their nested
+    # claims print as ok/FAIL lines, not as one Python repr per list
+    code, out = run(capsys, "mathieu", "--n", "22", "--ord", "2", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "rows[0].dual_params.b: 77" in lines
+    assert "rows[0].claims: dual-aut-order ok" in lines
+    assert "{'" not in out
+    fields = [line.split(": ")[0] for line in lines if line.startswith("rows[0].") and "claims" not in line]
+    assert fields == sorted(fields) and len(fields) == len(set(fields))
+
+
 def test_params_line_contradicting_blocks_is_input_error(tmp_path, capsys):
     # a 1-(4,3,3) design declared as 1-(4,3,9)
     path = tmp_path / "bad.design"

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from designforge.atlas import (
@@ -5,6 +7,7 @@ from designforge.atlas import (
     build_pgammal2,
     build_psl2,
     build_symmetric,
+    diagonal_map_on_projline,
     embed_pgl2,
     frobenius_on_projline,
     mathieu_group,
@@ -27,7 +30,9 @@ from oracles import (
     block_orbit_bfs,
     coset_action_by_conjugation,
     coset_fixed_points_by_conjugation,
+    coset_fixed_points_by_sifting,
     faithfulness_check,
+    induced_perm_by_normalizer_scan,
 )
 
 
@@ -117,6 +122,43 @@ def test_coset_action_not_self_normalizing():
 def _psl27_normalizer():
     G = build_psl2(27)
     return G, normalizer_of_cyclic(G, element_of_order(G, 13))
+
+
+def _a5_c5():
+    # <g> of order 5 has normalizer D10 in A5: not self-normalizing
+    G = build_alternating(5)
+    return G, PermGroup([element_of_order(G, 5)], G.degree)
+
+
+@pytest.mark.parametrize(
+    "pair, outer",
+    [
+        (_psl27_normalizer, [frobenius_on_projline(27), diagonal_map_on_projline(27)]),
+        (_a5_c5, [Permutation([1, 0, 2, 3, 4])]),
+    ],
+    ids=["psl2-27-N13", "A5-C5"],
+)
+def test_coset_points_match_sifting_and_normalizer_scan(pair, outer):
+    # fixed points of group elements and of permutations outside G, and the
+    # maps induced by elements of G, by maps normalizing G and by random
+    # permutations, against the conjugate-and-sift count and the scan for
+    # the y with y phi^-1 normalizing M
+    G, M = pair()
+    ca = coset_action(G, M)
+    rng = Random(2)
+    n = G.degree
+    elems = list(G.gens) + list(M.gens) + [G.random_element(rng) for _ in range(12)]
+    others = [Permutation(rng.sample(range(n), n)) for _ in range(4)]
+    counts = []
+    for g in elems + outer + others:
+        counts.append(ca.fixed_point_count(g))
+        assert counts[-1] == coset_fixed_points_by_sifting(ca, g)
+    assert sum(counts[: len(elems)]) > 0
+    induced = []
+    for phi in elems[:6] + outer + [x * y for x in outer for y in elems[:2]] + others:
+        induced.append(ca.induced_perm(phi))
+        assert induced[-1] == induced_perm_by_normalizer_scan(ca, phi)
+    assert all(pi is not None for pi in induced[: 6 + 3 * len(outer)])
 
 
 def _a9_pgammal():

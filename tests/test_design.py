@@ -44,9 +44,10 @@ def test_constructor_normalizes_and_validates():
 def test_multiplicity_tracking():
     D = IncidenceStructure(3, [(0, 1), (0, 1), (1, 2)])
     assert D.b == 3
-    assert D.has_repeated_blocks()
+    assert D.table.mult.tolist() == [2, 1]
+    assert D.table.rows.tolist() == [[0, 1], [1, 2]]
     assert D.block_multiset() == {(0, 1): 2, (1, 2): 1}
-    assert D.blocks_through(1) == [0, 1, 2]
+    assert D.incidence_lists()[1] == [0, 1, 2]
 
 
 def test_validate_1design_fano():
@@ -108,11 +109,11 @@ def test_dual_preserves_multiplicity():
     D = IncidenceStructure(3, [(0, 1), (0, 1), (0, 2), (1, 2), (0, 2), (1, 2)])
     dual = dual_design(D)
     assert dual.v == 6 and dual.b == 3
-    assert dual.has_repeated_blocks() is False
+    assert dual.table.mult.tolist() == [1, 1, 1]
     # repeated points on the dual side come from equal incidence lists
     D2 = IncidenceStructure(4, [(0, 1, 2, 3), (0, 1, 2, 3), (0, 1), (2, 3)])
     dd = dual_design(D2)
-    assert dd.has_repeated_blocks()
+    assert dd.table.mult.max() == 2
 
 
 def test_reduce_design_pairs_into_classes():
@@ -154,7 +155,7 @@ def test_read_without_params_and_with_multiplicity(tmp_path):
     D0 = IncidenceStructure(3, [(0, 1), (0, 1), (1, 2)])
     write_design(path, D0)
     D, dp = read_design(path)
-    assert dp is None and D.b == 3 and D.has_repeated_blocks()
+    assert dp is None and D.b == 3 and D.table.mult.tolist() == [2, 1]
 
 
 def test_read_rejects_malformed(tmp_path):

@@ -22,6 +22,8 @@ from designforge.group import (
 )
 from designforge.perm import Permutation, parse_cycle_string
 from oracles import (
+    bfs_orbit,
+    bfs_orbits,
     naive_closure,
     named_action,
     orbit_with_stored_transversal,
@@ -147,6 +149,19 @@ def test_orbits_and_transitivity():
     assert G.orbits() == [[0, 1, 2], [3], [4]]
     assert not G.is_transitive()
     assert sym(4).is_transitive()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda p: (n, p))))
+def test_orbits_match_breadth_first_search(case):
+    # any number of generators, none included, and with fixed points
+    n, images = case
+    gens = [Permutation(p) for p in images]
+    G = PermGroup(gens, n)
+    assert G.orbits() == bfs_orbits(gens, n)
+    for x in range(n):
+        assert G.orbit(x) == sorted(bfs_orbit(gens, x))
+    assert G.is_transitive() == (len(bfs_orbit(gens, 0)) == n)
 
 
 def test_point_stabilizer_order():

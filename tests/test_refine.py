@@ -1,7 +1,9 @@
 """The automorphism search's integer-key refinement and row lookups against
-the structured-row ranking they replaced (tests/oracles.py)."""
+the structured-row ranking and the block-by-block loops they replaced
+(tests/oracles.py)."""
 
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,13 +12,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from designforge.atlas import build_psl2, embed_pgl2, normalizer_of_cyclic
-from designforge.autsearch import _lex_rank, _Search, aut_group, is_design_automorphism
+from designforge.autsearch import (
+    _lex_rank,
+    _Search,
+    aut_group,
+    fixes_every_block,
+    is_design_automorphism,
+    lift_test_method1,
+)
 from designforge.casestudies import mathieu_design
 from designforge.construct import coset_action, method1_design, method2_design
 from designforge.design import IncidenceStructure, dual_design, reduce_design
 from designforge.group import (
     ElementTable,
-    PermGroup,
     RowIndex,
     element_of_order,
     orbit_minima,
@@ -24,7 +32,14 @@ from designforge.group import (
 )
 from designforge.perm import Permutation
 
-from oracles import image_indices, refine_structured
+from oracles import (
+    block_images_by_sorting,
+    bfs_orbits,
+    fixes_every_block_by_sets,
+    image_indices,
+    is_automorphism_by_multiset,
+    refine_structured,
+)
 
 RAGGED = IncidenceStructure(
     9,
@@ -72,7 +87,7 @@ def _colourings(search, rng, count):
 def _moved(search, pcolor, bcolor, perm):
     """The colouring carried along an automorphism of the structure."""
     images = np.array(perm.images)
-    j = search.block_images(images)
+    j = search.table.images(perm)
     pc = np.empty_like(pcolor)
     pc[images] = pcolor
     bc = np.empty_like(bcolor)
@@ -199,34 +214,74 @@ def test_orbit_minima_matches_orbits(case):
     n, perms = case
     least = orbit_minima([np.array(p) for p in perms], n)
     expected = [0] * n
-    for orb in PermGroup([Permutation(p) for p in perms], n).orbits():
+    for orb in bfs_orbits([Permutation(p) for p in perms], n):
         for x in orb:
             expected[x] = orb[0]
     assert least.tolist() == expected
 
 
-def _block_images_by_sorting(D, perm):
-    """Old per-block image lookup: each distinct block's index, or None."""
-    mult = D.block_multiset()
-    dblocks = sorted(mult)
-    where = {blk: j for j, blk in enumerate(dblocks)}
-    out = []
-    for blk in dblocks:
-        img = tuple(sorted(perm[p] for p in blk))
-        if mult.get(img) != mult[blk]:
-            return None
-        out.append(where[img])
-    return out
+def _random_structure(rng):
+    """A structure with ragged and repeated blocks: the translates of one or
+    two random blocks under the cycle (0 1 ... v-1), and copies of some of
+    them, which may break that symmetry. Returns it with the cycle; or,
+    half the time, with a twin point v added, lying in exactly the blocks
+    through 0, and the swap of 0 and v, which fixes every block."""
+    v = rng.randint(3, 6)
+    base = [rng.sample(range(v), rng.randint(1, v - 1)) for _ in range(rng.randint(1, 2))]
+    blocks = [tuple((p + s) % v for p in blk) for blk in base for s in range(v)]
+    blocks += rng.sample(blocks, rng.randint(0, 2))
+    if rng.random() < 0.5:
+        return IncidenceStructure(v, blocks), Permutation(list(range(1, v)) + [0])
+    blocks = [blk + (v,) if 0 in blk else blk for blk in blocks]
+    return IncidenceStructure(v + 1, blocks), Permutation([v] + list(range(1, v)) + [0])
+
+
+def _test_perms(D, rng, extra=()):
+    """Automorphisms, their products, random permutations and extra ones."""
+    perms = aut_group(D).point_gens[:3] + list(extra)
+    perms += [a * b for a in perms for b in perms][:6]
+    return perms + [Permutation(rng.sample(range(D.v), D.v)) for _ in range(3)]
+
+
+def _check_block_images(D, perms):
+    for perm in perms:
+        j = D.table.images(perm)
+        old = block_images_by_sorting(D, perm)
+        auto = is_automorphism_by_multiset(D, perm)
+        assert (j is None) == (old is None) == (not auto)
+        if old is not None:
+            assert j.tolist() == old
+        assert is_design_automorphism(D, perm) == auto
+        assert fixes_every_block(D, perm) == fixes_every_block_by_sets(D, perm)
+        assert lift_test_method1(SimpleNamespace(design=D), perm) == auto
 
 
 def test_block_images_match_sorting(structure):
-    search = _Search(structure, budget=10)
     rng = Random(3)
-    perms = aut_group(structure).point_gens[:3]
-    perms += [Permutation(rng.sample(range(structure.v), structure.v)) for _ in range(3)]
-    for perm in perms:
-        j = search.block_images(np.array(perm.images))
-        old = _block_images_by_sorting(structure, perm)
-        assert (j is None) == (old is None) == (not is_design_automorphism(structure, perm))
-        if old is not None:
-            assert j.tolist() == old
+    _check_block_images(structure, _test_perms(structure, rng))
+
+
+def test_block_images_match_sorting_on_random_structures():
+    rng = Random(17)
+    seen = set()
+    for _ in range(60):
+        D, special = _random_structure(rng)
+        perms = _test_perms(D, rng, [special])
+        _check_block_images(D, perms)
+        assert not lift_test_method1(SimpleNamespace(design=D), None)
+        for p in perms:
+            distinct = set(D.blocks)
+            keeps_set = {tuple(sorted(p[x] for x in blk)) for blk in distinct} == distinct
+            seen.add((fixes_every_block(D, p), is_design_automorphism(D, p), keeps_set))
+    # block-fixing maps, automorphisms that move blocks, maps that keep the
+    # set of blocks but not their multiplicities, and maps that keep neither
+    assert seen == {(True, True, True), (False, True, True), (False, False, True), (False, False, False)}
+
+
+def test_block_images_reject_other_degree():
+    D = RAGGED
+    for n in (D.v - 1, D.v + 1):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            D.table.images(Permutation.identity(n))
+        with pytest.raises(ValueError):
+            is_design_automorphism(D, Permutation.identity(n))
