@@ -5,6 +5,15 @@ The search runs on the colored bipartite incidence graph: alternating
 point/block color refinement, individualization backtracking, pruning by
 path invariants and by orbits of the automorphisms found so far.
 
+A caller that already holds automorphisms passes them as a group, `known`
+(for a design built by a group action, that group). Each of its generators
+is checked to be an automorphism, and at the first leaf the search group
+becomes `known` rebuilt on the first path as its base, so orbit pruning
+starts from it rather than from the trivial group: the known-subgroup
+pruning of nauty and Traces (McKay & Piperno, "Practical graph
+isomorphism, II", 2014). Pruning by the orbits of any group of
+automorphisms is sound, so a complete search still finds all of Aut(D).
+
 Refinement ranks integer signature tables with _lex_rank: rows of
 non-negative integers, written as big-endian words and ranked as one np.void
 item each by a 1-D np.unique, which orders them lexicographically. Colour
@@ -23,7 +32,7 @@ from math import factorial
 import numpy as np
 
 from .design import IncidenceStructure, ReducedStructure
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvalidGenerators
 from .group import PermGroup
 from .perm import Permutation
 
@@ -66,7 +75,7 @@ def _lex_rank(rows):
 class _Search:
     """One backtracking run over individualized point colorings."""
 
-    def __init__(self, D: IncidenceStructure, budget: int):
+    def __init__(self, D: IncidenceStructure, budget: int, known: PermGroup = None):
         self.v = D.v
         self.budget = budget
         self.nodes = 0
@@ -82,9 +91,9 @@ class _Search:
         self.first_invs = {}
         self.first_base = []
         self.first_leaf = None
-        # automorphisms found so far; at the first leaf it takes the first
-        # path as its base, so each depth's stabilizer is a level of its chain
-        self.group = PermGroup([], self.v)
+        # automorphisms known or found so far; at the first leaf it takes the
+        # first path as its base, so each depth's stabilizer is a level of its chain
+        self.group = PermGroup([], self.v) if known is None else known
         self._stab_cache = {}
 
     # -- refinement ---------------------------------------------------------
@@ -136,7 +145,7 @@ class _Search:
     def _leaf(self, pcolor, dev_level):
         if self.first_leaf is None:
             self.first_leaf = np.argsort(pcolor)  # color -> point
-            self.group = PermGroup([], self.v, base_hint=self.first_base)
+            self.group = self.group.rebased(self.first_base)
             return None
         images = np.empty(self.v, dtype=np.int64)
         images[self.first_leaf] = np.argsort(pcolor)
@@ -193,11 +202,15 @@ class _Search:
         return None
 
 
-def aut_group(D: IncidenceStructure, budget: int = 10**6) -> AutResult:
+def aut_group(D: IncidenceStructure, budget: int = 10**6, known: PermGroup = None) -> AutResult:
     """Full automorphism group of D, or the subgroup found before the node
-    budget ran out (flagged incomplete). The search takes a Python frame per
-    level: BudgetExceeded when its tree is deeper than the recursion limit."""
-    search = _Search(D, budget)
+    budget ran out (flagged incomplete). known, a group of automorphisms of
+    D, seeds the search; InvalidGenerators when one of its generators is
+    not one. The search takes a Python frame per level: BudgetExceeded when
+    its tree is deeper than the recursion limit."""
+    if known is not None and (known.degree != D.v or not all(is_design_automorphism(D, g) for g in known.gens)):
+        raise InvalidGenerators("the known group is not a group of automorphisms of the design")
+    search = _Search(D, budget, known)
     complete = True
     try:
         search.run()

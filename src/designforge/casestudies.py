@@ -39,7 +39,6 @@ from .design import (
     t_design_lambda,
     validate_1design,
 )
-from .errors import InternalInconsistency
 from .group import (
     PermGroup,
     conjugacy_class,
@@ -212,25 +211,19 @@ class MathieuRow:
     claims: list = field(default_factory=list)
 
 
-def _dual_block_imprimitivity(design: Method2Design, R, stab: PermGroup):
-    """A nontrivial invariant partition of the dual block set (equivalently
-    of the reduced points), found among the 60 smallest stabilizer suborbits."""
-    reps = np.array([cls[0] for cls in R.classes])
-    class_of = np.array(R.class_of)
-    gens = [Permutation(class_of[np.array(col)[reps]].tolist()) for col in design.class_images]
-    stab_images = []
-    for s in stab.gens:
-        idx = design.class_table.conjugate_indices(s, s.inverse(), reps)
-        if (idx < 0).any():
-            raise InternalInconsistency("the block stabilizer does not preserve the class")
-        stab_images.append(class_of[idx])
-    # suborbits by (size, least point); a suborbit is named by its least point
-    least = orbit_minima(stab_images, len(reps))
-    sizes = np.bincount(least, minlength=len(reps))
+def _dual_block_imprimitivity(gens, stab_gens, root):
+    """A nontrivial invariant partition of the dual blocks (equivalently of
+    the reduced points), found among the 60 smallest suborbits of the
+    stabilizer of the dual block root. Both generator lists act on the dual
+    blocks, numbered as the dual's block table lists them, as int arrays."""
+    # suborbits by (size, least block); a suborbit is named by its least block
+    n = len(gens[0])
+    least = orbit_minima(stab_gens, n)
+    sizes = np.bincount(least, minlength=n)
     firsts = np.flatnonzero(sizes)
     firsts = firsts[np.argsort(sizes[firsts], kind="stable")].tolist()
-    candidates = [x for x in firsts if x != 0 or sizes[0] > 1][:60]
-    found = find_imprimitivity(gens, 0, candidates)
+    candidates = [x for x in firsts if x != root][:60]
+    found = find_imprimitivity(gens, root, candidates)
     return None if found is None else found[1]
 
 
@@ -244,10 +237,15 @@ def run_mathieu_row(
     tparams = validate_1design(T)
     t = n - 19
     lam_t = t_design_lambda(T, t)
-    aut = aut_group(T, aut_budget)
-    orb, stab = orbit_with_stabilizer(
-        design.G, tuple(R.classes[0]), index_set_action(design.G.gens, design.class_images)
-    )
+    # G on the dual points, which are the blocks of the class design
+    G_dual = PermGroup([Permutation(col) for col in design.block_images], tparams.v)
+    aut = aut_group(T, aut_budget, known=G_dual)
+    # G on the dual blocks, numbered as the dual's block table lists them
+    # (the quotient has no twin points, so every dual block is a row of it)
+    tables = [T.table.images(k) for k in G_dual.gens]
+    columns = dict(zip(G_dual.gens, (table.tolist() for table in tables)))
+    root = int(T.table.index.find([T.blocks[0]])[0])
+    orb, stab = orbit_with_stabilizer(G_dual, root, lambda j, k, kinv: columns[k][j])
     row = MathieuRow(
         n=n,
         g_order=g_order,
@@ -262,7 +260,7 @@ def run_mathieu_row(
         block_transitive=len(orb) == tparams.b,
     )
     if R.class_size == 2:
-        cells = _dual_block_imprimitivity(design, R, stab)
+        cells = _dual_block_imprimitivity(tables, [T.table.images(s) for s in stab.gens], root)
         row.imprimitivity_cells = None if cells is None else len(cells)
     expected = _MATHIEU_EXPECTED[(n, g_order)]
     row.claims = [
@@ -282,9 +280,8 @@ def run_mathieu_row(
         # budget ran out: fall back to structural evidence — the group acts
         # on the dual by automorphisms, transitively, so the (unknown) full
         # automorphism order is divisible by the group order
-        induced = [Permutation(col) for col in design.block_images]
-        embeds = all(is_design_automorphism(T, pi) for pi in induced)
-        combined = PermGroup(aut.point_gens + induced, tparams.v)
+        embeds = all(is_design_automorphism(T, k) for k in G_dual.gens)
+        combined = PermGroup(aut.point_gens + list(G_dual.gens), tparams.v)
         row.claims.extend(
             [
                 claim("group-embeds-in-dual-aut", True, embeds),
@@ -500,7 +497,7 @@ def run_coset_orbit_family(aut_budget: int = 10**6, sample: int = None):
     aut_orders = []
     complete = True
     for i in picked:
-        res = aut_group(designs[i].design, aut_budget)
+        res = aut_group(designs[i].design, aut_budget, known=ca.group)
         complete = complete and res.complete
         aut_orders.append(res.order)
     report["aut_orders"] = aut_orders
@@ -532,7 +529,7 @@ def run_small_designs(aut_budget: int = 10**6, stretch_budget: int = 0):
     out = {}
     A6 = build_alternating(6)
     D1 = method1_design(A6, 0)
-    a1 = aut_group(D1.design, aut_budget)
+    a1 = aut_group(D1.design, aut_budget, known=A6)
     transposition = Permutation([1, 0, 2, 3, 4, 5])
     out["natural"] = {
         "params": D1.params,
@@ -547,7 +544,7 @@ def run_small_designs(aut_budget: int = 10**6, stretch_budget: int = 0):
     A6b, S4 = _a6_second_s4()
     ca = coset_action(A6b, S4)
     D2 = method1_design(ca.group, 0, orbit_size=8, coset=ca)
-    a2 = aut_group(D2.design, aut_budget)
+    a2 = aut_group(D2.design, aut_budget, known=ca.group)
     out["cosets15"] = {
         "params": D2.params,
         "aut_order": a2.order,
@@ -571,7 +568,7 @@ def run_small_designs(aut_budget: int = 10**6, stretch_budget: int = 0):
         ],
     }
     if stretch_budget:
-        a3 = aut_group(D3.design, stretch_budget)
+        a3 = aut_group(D3.design, stretch_budget, known=ca9.group)
         rec["aut_order"] = a3.order
         rec["aut_complete"] = a3.complete
         rec["aut_order_expected"] = 348364800

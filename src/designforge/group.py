@@ -4,10 +4,18 @@ A group's Schreier-Sims chain grows only through _Chain.extend, one
 generator at a time, and grows incrementally: each level keeps every
 transversal entry it has, with its inverse, so sifting never inverts a
 permutation, and each (orbit point, level generator) Schreier pair is
-checked once.  The chain is built deterministically: base points are chosen
-greedily as the first point moved by each new strong generator, orbits are
-extended breadth-first in insertion order.  Identical generator lists
-therefore always produce identical chains.
+checked once.  An entry u*s gets its inverse as s^-1 * u^-1, a product of
+inverses already at hand.  The chain is built deterministically: base
+points are chosen greedily as the first point moved by each new strong
+generator, orbits are extended breadth-first in insertion order.  Identical
+generator lists therefore always produce identical chains.
+
+PermGroup.rebased(points) rebuilds a group's chain on a base that starts
+with the given points.  The group's own chain certifies its order, so the
+rebuild stops as soon as its transversal lengths multiply to that order
+(Schreier-Sims with a known order; Seress, Permutation Group Algorithms,
+2003, section 4.5).  Pointwise stabilizers off the group's base and the
+automorphism search's known group are rebuilt this way.
 
 Many elements at once go through numpy: ElementTable holds permutations as
 the rows of an int array and conjugates them together, RowIndex finds rows
@@ -41,17 +49,20 @@ class _Chain:
     once.
     """
 
-    def __init__(self, degree, gens, base_hint=()):
+    def __init__(self, degree, gens, base_hint=(), order=None):
         self.degree = degree
         self.base = []
         self.level_gens = []  # level i: generators of the stabilizer of base[:i]
         self.transversals = []  # level i: point -> perm mapping base[i] to point
         self.inverses = []  # level i: point -> inverse of its transversal entry
         self._checked = []  # level i: point -> how many level generators it has checked
+        # the group's certified order, known only while the chain is built
+        self._target = order
         for b in base_hint:
             self._new_level(b)
         for g in gens:
             self.extend(g)
+        self._target = None
 
     def _first_moved(self, g):
         for i, j in enumerate(g.images):
@@ -64,14 +75,15 @@ class _Chain:
         current generators, keeping the entries already there."""
         trans = self.transversals[level]
         inv = self.inverses[level]
+        gens = [(s, s.inverse()) for s in self.level_gens[level]]
         queue = list(trans)
         for pt in queue:
-            rep = trans[pt]
-            for s in self.level_gens[level]:
+            rep, rinv = trans[pt], inv[pt]
+            for s, sinv in gens:
                 img = s.images[pt]
                 if img not in trans:
-                    trans[img] = r = rep * s
-                    inv[img] = r.inverse()
+                    trans[img] = rep * s
+                    inv[img] = sinv * rinv
                     queue.append(img)
 
     def _new_level(self, point):
@@ -119,8 +131,16 @@ class _Chain:
 
     def _verify(self, i):
         """Schreier-Sims from level i up to level 0: every Schreier generator
-        of a level must sift through the levels below it."""
+        of a level must sift through the levels below it.
+
+        While a chain is built to a known order, it stops once the
+        transversal lengths multiply to that order. Each level's orbit lies
+        in the true fundamental orbit, so the product never exceeds |G|, and
+        when it equals |G| every level's generators generate the true
+        stabilizer: the pairs left unchecked would all sift."""
         while i >= 0:
+            if self._target is not None and self.order() == self._target:
+                return
             found = self._unsifted_schreier(i)
             if found is None:
                 i -= 1
@@ -234,13 +254,21 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return not self.orbit_minima().any()
 
+    def rebased(self, points) -> "PermGroup":
+        """This group on a chain whose base starts with points. The chain is
+        built by Schreier-Sims that stops at this group's order, which its
+        own chain certifies."""
+        G = PermGroup(self.gens, self.degree, base_hint=points)
+        G._chain = _Chain(self.degree, self.gens, G._base_hint, order=self.order())
+        return G
+
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """Subgroup fixing every listed point: a level of this group's chain
-        when its base starts with the points, else of a chain built on them."""
+        when its base starts with the points, else of its rebased chain."""
         points = list(points)
         chain = self.chain
         if chain.base[: len(points)] != points:
-            chain = _Chain(self.degree, self.gens, base_hint=points)
+            chain = self.rebased(points).chain
         if len(points) == len(chain.base):
             return PermGroup([], self.degree)
         return PermGroup(chain.level_gens[len(points)], self.degree)
@@ -493,45 +521,66 @@ def minimal_block_system(gens, alpha: int, delta: int):
     """Finest invariant partition merging alpha and delta, for the group
     generated by gens acting on 0..n-1 (assumed transitive).
 
-    Returns the partition as a list of sorted cells; the partition is
-    trivial iff it has a single cell or all cells are singletons.
+    Returns the partition as a list of sorted cells, ordered by least
+    element; the partition is trivial iff it has a single cell or all cells
+    are singletons.
     """
-    n = gens[0].degree
-    parent = list(range(n))
-
-    def find(a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    pairs = [(alpha, delta)]
-    parent[find(delta)] = find(alpha)
-    while pairs:
-        a, b = pairs.pop()
-        for g in gens:
-            ra, rb = find(g.images[a]), find(g.images[b])
-            if ra != rb:
-                parent[rb] = ra
-                pairs.append((ra, rb))
-    cells = {}
-    for x in range(n):
-        cells.setdefault(find(x), []).append(x)
-    return sorted(cells.values())
+    return _cells(_block_labels([np.array(g.images) for g in gens], alpha, delta))
 
 
-def find_imprimitivity(gens, alpha: int, candidates):
+def _block_labels(images, alpha: int, delta: int):
+    """The least point of each point's cell in the finest partition that
+    merges alpha and delta and is invariant under the permutations given as
+    int arrays.
+
+    Label propagation: x ~ lab[x] forces g(x) ~ g(lab[x]), so for each
+    generator in turn the larger root of each such pair in two cells is
+    hooked to the least root it must join, and labels jump to their roots,
+    until a sweep over the generators changes nothing. Every merge is
+    forced, so that fixed point is the finest invariant partition. A
+    union-find over point pairs gives the same cells (tests/oracles.py), but
+    on the 6160 reduced points of the (22,3) Mathieu row its partition took
+    8-15 ms, against 2-3 ms here (2-core Xeon VM)."""
+    lab = np.arange(len(images[0]))
+    lab[max(alpha, delta)] = min(alpha, delta)
+    while True:
+        swept = lab
+        for img in images:
+            a, b = lab[img], lab[img[lab]]
+            split = a != b
+            if not split.any():
+                continue
+            a, b = a[split], b[split]
+            lab = lab.copy()
+            np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                jumped = lab[lab]
+                if np.array_equal(jumped, lab):
+                    break
+                lab = jumped
+        if np.array_equal(lab, swept):
+            return lab
+
+
+def _cells(labels):
+    """The cells of a labelled partition, each sorted, ordered by label."""
+    order = np.argsort(labels, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    order = order.tolist()
+    return [order[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
+def find_imprimitivity(images, alpha: int, candidates):
     """First candidate point whose merge with alpha yields a nontrivial
-    invariant partition, with that partition; None if all are trivial."""
-    n = gens[0].degree
+    invariant partition, with that partition; None if all are trivial. The
+    group is generated by permutations of range(n) given as int arrays."""
+    n = len(images[0])
     for delta in candidates:
         if delta == alpha:
             continue
-        cells = minimal_block_system(gens, alpha, delta)
-        if 1 < len(cells) < n:
-            return delta, cells
+        labels = _block_labels(images, alpha, delta)
+        if 1 < np.count_nonzero(labels == np.arange(n)) < n:
+            return delta, _cells(labels)
     return None
 
 

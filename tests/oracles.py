@@ -146,6 +146,36 @@ def bfs_orbits(gens, degree):
     return out
 
 
+def block_system_by_union_find(gens, alpha, delta):
+    """Finest gens-invariant partition merging alpha and delta, by a
+    union-find over point pairs: the reference for
+    group.minimal_block_system. Cells sorted, ordered by least element."""
+    n = gens[0].degree
+    parent = list(range(n))
+
+    def find(a):
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    pairs = [(alpha, delta)]
+    parent[find(delta)] = find(alpha)
+    while pairs:
+        a, b = pairs.pop()
+        for g in gens:
+            ra, rb = find(g.images[a]), find(g.images[b])
+            if ra != rb:
+                parent[rb] = ra
+                pairs.append((ra, rb))
+    cells = {}
+    for x in range(n):
+        cells.setdefault(find(x), []).append(x)
+    return sorted(cells.values())
+
+
 # -- actions, one value at a time
 
 

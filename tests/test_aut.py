@@ -22,7 +22,7 @@ from designforge.autsearch import (
 )
 from designforge.construct import method1_design, method2_design
 from designforge.design import IncidenceStructure, reduce_design, validate_1design, write_design
-from designforge.errors import BudgetExceeded
+from designforge.errors import BudgetExceeded, InvalidGenerators
 from designforge.group import PermGroup, element_of_order, normalizing_map_check
 from designforge.perm import Permutation
 
@@ -87,6 +87,31 @@ def test_aut_search_vs_oracle_random_corpus():
     for _ in range(150):
         D = random_structure(rng, max_v=9)
         assert aut_group(D).order == oracle_aut_order(D), D.blocks
+
+
+def test_known_group_must_be_automorphisms():
+    rotation = Permutation([0, 2, 3, 4, 5, 6, 1])  # not an automorphism
+    good = aut_group(FANO).point_gens[0]
+    assert aut_group(FANO, known=PermGroup([good], 7)).order == 168
+    with pytest.raises(InvalidGenerators):
+        aut_group(FANO, known=PermGroup([good, rotation], 7))
+    with pytest.raises(InvalidGenerators):
+        aut_group(FANO, known=PermGroup([], 8))
+
+
+def test_known_group_gives_oracle_orders():
+    # seeded with the trivial group and with the group of a random subset of
+    # the unseeded generators, the search still finds all of Aut(D)
+    rng = Random(99)
+    for _ in range(200):
+        D = random_structure(rng, max_v=9)
+        expected = brute_force_aut_order(D) if D.v <= 6 else oracle_aut_order(D)
+        plain = aut_group(D)
+        subset = [g for g in plain.point_gens if rng.random() < 0.5]
+        for known in (PermGroup([], D.v), PermGroup(subset, D.v)):
+            res = aut_group(D, known=known)
+            assert res.complete and res.order == expected, D.blocks
+            assert PermGroup(res.point_gens, D.v).order() == res.order
 
 
 def test_aut_respects_multiplicity():

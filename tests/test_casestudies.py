@@ -1,6 +1,13 @@
 import pytest
 
-from designforge.atlas import build_alternating, build_psl2, embed_pgl2, point_stabilizer_subgroup
+from designforge.atlas import (
+    build_alternating,
+    build_psl2,
+    embed_pgl2,
+    normalizer_of_cyclic,
+    point_stabilizer_subgroup,
+)
+from designforge.autsearch import aut_group
 from designforge.casestudies import (
     all_pass,
     claim,
@@ -12,7 +19,8 @@ from designforge.casestudies import (
     run_small_designs,
     stab_claims,
 )
-from designforge.construct import method2_design
+from designforge.construct import coset_action, method1_design, method2_design
+from designforge.design import dual_design, reduce_design
 from designforge.group import PermGroup, element_of_order
 from designforge.perm import Permutation
 
@@ -135,6 +143,38 @@ def test_mathieu_row_incomplete_budget_fallback():
     names = {c["claim"] for c in row.claims}
     assert "group-embeds-in-dual-aut" in names
     assert all_pass(row.claims), [c for c in row.claims if not c["pass"]]
+
+
+@pytest.fixture(scope="module")
+def design_22_3():
+    return mathieu_design(22, 3)
+
+
+def test_mathieu_row_22_order_three(design_22_3):
+    # the dual-block stabilizer and the imprimitivity of the dual blocks,
+    # both read through the dual's block table
+    row = run_mathieu_row(22, 3, design=design_22_3)
+    assert row.aut_complete and row.aut_order == 887040
+    assert row.block_stab_order == 72 and row.block_transitive
+    assert row.imprimitivity_cells == 1540
+    assert all_pass(row.claims), [c for c in row.claims if not c["pass"]]
+
+
+def test_seeded_search_takes_fewer_nodes(design_22_3):
+    # the acting group seeds the search: the same orders from fewer nodes,
+    # on the (22,3) dual and on each of the 13 PSL(2,27) coset designs
+    R = reduce_design(design_22_3.design, design_22_3.params)
+    T = dual_design(R.quotient)
+    G_dual = PermGroup([Permutation(col) for col in design_22_3.block_images], T.v)
+    seeded, plain = aut_group(T, known=G_dual), aut_group(T)
+    assert seeded.order == plain.order == 887040
+    assert seeded.nodes < plain.nodes
+    G = build_psl2(27)
+    ca = coset_action(G, normalizer_of_cyclic(G, element_of_order(G, 13)))
+    for i in range(13):
+        D = method1_design(ca.group, 0, orbit_size=13, orbit_index=i, coset=ca).design
+        seeded, plain = aut_group(D, known=ca.group), aut_group(D)
+        assert seeded.order == plain.order and seeded.nodes < plain.nodes
 
 
 def test_coset_orbit_family_census():

@@ -1,6 +1,7 @@
 from math import factorial
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from designforge.atlas import build_alternating, build_psl2, build_symmetric
 from designforge.errors import NotASubgroupElement, NotFound, OrbitOverflow
 from designforge.group import (
     PermGroup,
+    _Chain,
     centralizer,
     conjugacy_class,
     element_of_order,
@@ -23,6 +25,7 @@ from designforge.group import (
 from designforge.perm import Permutation, parse_cycle_string
 from oracles import (
     bfs_orbit,
+    block_system_by_union_find,
     bfs_orbits,
     naive_closure,
     named_action,
@@ -351,6 +354,79 @@ def test_element_of_order_with_tags():
         element_of_order(G, 7, budget=50)
 
 
+def m11():
+    gens = ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"]
+    return PermGroup([parse_cycle_string(c, 11) for c in gens], 11)
+
+
+def _assert_inverses_stored(chain):
+    for trans, inv in zip(chain.transversals, chain.inverses):
+        assert list(inv) == list(trans)
+        assert all(inv[pt] == rep.inverse() for pt, rep in trans.items())
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [(lambda: build_psl2(13), 1092), (m11, 7920), (lambda: build_alternating(7), 2520)],
+    ids=["PSL(2,13)", "M11", "A7"],
+)
+def test_rebased_chain(build, order):
+    # a chain rebuilt on given base points, stopped at the known order, is
+    # the same group: its order, membership on members and non-members, and
+    # the pointwise stabilizers of a chain built in full on those points
+    G = build()
+    assert G.order() == order
+    _assert_inverses_stored(G.chain)
+    rng = Random(5)
+    members = [G.random_element(rng) for _ in range(20)]
+    others = []
+    for _ in range(20):
+        images = list(range(G.degree))
+        rng.shuffle(images)
+        others.append(Permutation(images))
+    for _ in range(6):
+        points = rng.sample(range(G.degree), rng.randrange(1, 4))
+        R = G.rebased(points)
+        assert R.chain.base[: len(points)] == points
+        assert R.order() == order
+        assert all(x in R for x in members)
+        assert [x in R for x in others] == [x in G for x in others]
+        _assert_inverses_stored(R.chain)
+        full = _Chain(G.degree, G.gens, base_hint=points)
+        level = (full.level_gens + [[]])[len(points)]
+        assert G.pointwise_stabilizer(points).order() == PermGroup(level, G.degree).order()
+    # growing a rebuilt chain verifies in full
+    outsider = next(x for x in others if x not in G)
+    R = G.rebased(rng.sample(range(G.degree), 2))
+    assert R.extend(outsider)
+    assert R.order() == PermGroup(list(G.gens) + [outsider]).order()
+    _assert_inverses_stored(R.chain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 16).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(range(n)), min_size=1, max_size=3),
+    st.integers(0, n - 1),
+    st.integers(0, n - 1),
+)))
+def test_minimal_block_system_matches_union_find(case):
+    images, alpha, delta = case
+    gens = [Permutation(p) for p in images]
+    assert minimal_block_system(gens, alpha, delta) == block_system_by_union_find(gens, alpha, delta)
+
+
+def test_minimal_block_system_on_dihedral_actions():
+    # D_2m on m points has a block system for every divisor of m
+    for m in (12, 30, 64):
+        rot = Permutation([(i + 1) % m for i in range(m)])
+        ref = Permutation([(-i) % m for i in range(m)])
+        for d in range(1, m):
+            expected = block_system_by_union_find([rot, ref], 0, d)
+            assert minimal_block_system([rot, ref], 0, d) == expected
+            found = find_imprimitivity([np.array(rot.images), np.array(ref.images)], 0, [d])
+            assert (found is None) == (len(expected) in (1, m))
+
+
 def test_subgroup_closure_rejects_outsiders():
     G = PermGroup([parse_cycle_string("(1,2,3)", 4)], 4)
     with pytest.raises(NotASubgroupElement):
@@ -367,10 +443,10 @@ def test_minimal_block_system_cyclic():
 
 def test_find_imprimitivity():
     G = cyclic(6)
-    delta, cells = find_imprimitivity(G.gens, 0, [3])
+    delta, cells = find_imprimitivity([np.array(g.images) for g in G.gens], 0, [3])
     assert delta == 3 and len(cells) == 3
     # the natural S5 action is primitive
-    assert find_imprimitivity(sym(5).gens, 0, range(1, 5)) is None
+    assert find_imprimitivity([np.array(g.images) for g in sym(5).gens], 0, range(1, 5)) is None
 
 
 def test_orbit_cap_enforced():
