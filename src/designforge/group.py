@@ -539,8 +539,8 @@ def _block_labels(images, alpha: int, delta: int):
     until a sweep over the generators changes nothing. Every merge is
     forced, so that fixed point is the finest invariant partition. A
     union-find over point pairs gives the same cells (tests/oracles.py), but
-    on the 6160 reduced points of the (22,3) Mathieu row its partition took
-    8-15 ms, against 2-3 ms here (2-core Xeon VM)."""
+    on the 6160 dual blocks of the (22,3) Mathieu row it took 6.7 ms,
+    against 2.2 ms here (best of 9, 2-core Xeon VM)."""
     lab = np.arange(len(images[0]))
     lab[max(alpha, delta)] = min(alpha, delta)
     while True:
