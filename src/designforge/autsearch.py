@@ -14,7 +14,7 @@ pruning of nauty and Traces (McKay & Piperno, "Practical graph
 isomorphism, II", 2014). Pruning by the orbits of any group of
 automorphisms is sound, so a complete search still finds all of Aut(D).
 
-Refinement ranks integer signature tables with _lex_rank: rows of
+Refinement ranks integer signature tables with group.lex_rank: rows of
 non-negative integers, written as big-endian words and ranked as one np.void
 item each by a 1-D np.unique, which orders them lexicographically. Colour
 numbers so depend only on signature values, never on labels. Refinement
@@ -33,7 +33,7 @@ import numpy as np
 
 from .design import IncidenceStructure, ReducedStructure
 from .errors import BudgetExceeded, InvalidGenerators
-from .group import PermGroup
+from .group import PermGroup, lex_rank
 from .perm import Permutation
 
 
@@ -59,19 +59,6 @@ class _Budget(Exception):
     pass
 
 
-def _lex_rank(rows):
-    """Dense lexicographic ranks of the rows of a 2-D non-negative int array,
-    and the index of one row of each rank.
-
-    Each row is ranked as one np.void item of its big-endian 8-byte words:
-    big-endian bytes compare as the numbers do, so a 1-D np.unique orders
-    the items as the rows, lexicographically."""
-    rows = np.ascontiguousarray(rows, dtype=">u8")
-    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
-    _, first, rank = np.unique(keys, return_index=True, return_inverse=True)
-    return rank.ravel(), first
-
-
 class _Search:
     """One backtracking run over individualized point colorings."""
 
@@ -85,7 +72,7 @@ class _Search:
         incident = table.rows < self.v
         self.pt_idx = table.rows[incident]
         self.blk_idx = np.nonzero(incident)[0]
-        self.bcolor0 = _lex_rank(np.column_stack([incident.sum(axis=1), table.mult]))[0]
+        self.bcolor0 = lex_rank(np.column_stack([incident.sum(axis=1), table.mult]))[0]
         self.pcolor0 = np.zeros(self.v, dtype=np.int64)
         # search state
         self.first_invs = {}
@@ -110,14 +97,14 @@ class _Search:
             # point colors shifted by one, so that the pad, 0, sorts first
             pc_ext = np.append(pcolor + 1, 0)
             bsig = np.column_stack([bcolor, np.sort(pc_ext[self.table.rows], axis=1)])
-            bcolor, bfirst = _lex_rank(bsig)
+            bcolor, bfirst = lex_rank(bsig)
             nub = len(bfirst)
             psig = np.empty((self.v, 1 + nub), dtype=">u8")
             psig[:, 0] = pcolor
             psig[:, 1:] = np.bincount(
                 self.pt_idx * nub + bcolor[self.blk_idx], minlength=self.v * nub
             ).reshape(self.v, nub)
-            pcolor, pfirst = _lex_rank(psig)
+            pcolor, pfirst = lex_rank(psig)
             if len(pfirst) == ncp and nub == ncb:
                 break
             ncp, ncb = len(pfirst), nub
@@ -340,7 +327,7 @@ def lift_test_method2(design, phi: Permutation) -> bool:
 
 def _carries_base_block(design, pi) -> bool:
     """Whether pi, None when the class is not preserved, maps the base block to a block."""
-    return pi is not None and tuple(sorted(pi[p] for p in design.base_block)) in design.block_index
+    return pi is not None and design.design.table.index.find([sorted(pi[p] for p in design.base_block)])[0] >= 0
 
 
 @dataclass

@@ -108,12 +108,11 @@ def _block_intersection_group(design: Method2Design):
         A = G.pointwise_stabilizer([p for p in x.fixed_points() if p in orbit])
         return A, "pointwise-stabilizer"
     if M.order() <= 10**4:
-        blocks = design.design.blocks
-        common = None
-        for j, blk in enumerate(blocks):
-            if 0 in blk:
-                elems = frozenset(schreier_stabilizer(G, blocks, design.block_images, root=j).elements())
-                common = elems if common is None else common & elems
+        rows = design.design.rows
+        common = frozenset.intersection(*(
+            frozenset(schreier_stabilizer(G, rows, design.block_images, root=j).elements())
+            for j in np.flatnonzero(rows[:, 0] == 0).tolist()
+        ))
         return PermGroup(common, G.degree), "element-intersection"
     return None, "not computed"
 
@@ -244,7 +243,7 @@ def run_mathieu_row(
     # (the quotient has no twin points, so every dual block is a row of it)
     tables = [T.table.images(k) for k in G_dual.gens]
     columns = dict(zip(G_dual.gens, (table.tolist() for table in tables)))
-    root = int(T.table.index.find([T.blocks[0]])[0])
+    root = int(T.table.index.find(T.rows[:1])[0])
     orb, stab = orbit_with_stabilizer(G_dual, root, lambda j, k, kinv: columns[k][j])
     row = MathieuRow(
         n=n,
@@ -330,7 +329,7 @@ class PslClassRecord:
     notes: dict = field(default_factory=dict)
 
 
-def run_psl_family(q: int, variants=("squared", "non-squared"), with_stab=True):
+def run_psl_family(q: int):
     """Designs from PSL(2,q²) with both embedded PGL(2,q) copies, one class
     representative per admissible element order; every record carries the
     parameter, reduction and replication-count checks."""
@@ -338,7 +337,7 @@ def run_psl_family(q: int, variants=("squared", "non-squared"), with_stab=True):
     G = build_psl2(q2)
     char = next(d for d in range(2, q + 1) if q % d == 0)
     records = []
-    for variant in variants:
+    for variant in ("squared", "non-squared"):
         M = embed_pgl2(q, variant)
         ca = coset_action(G, M)
         cases = [("involution", 2), ("unipotent", char)]
@@ -418,11 +417,9 @@ def run_psl_family(q: int, variants=("squared", "non-squared"), with_stab=True):
                     # with replication 1 each point lies on a single block,
                     # so the intersection class is that whole block; the
                     # inverse pair is merely contained in it
-                    blk = next(
-                        b for b in design.design.blocks if x_idx in set(b)
-                    )
+                    blk = next(row for row in design.design.rows.tolist() if x_idx in row)
                     rec.claims.append(
-                        claim("replication-one-class-is-block", list(blk), i_class)
+                        claim("replication-one-class-is-block", blk, i_class)
                     )
                     rec.claims.append(
                         claim(
@@ -431,7 +428,7 @@ def run_psl_family(q: int, variants=("squared", "non-squared"), with_stab=True):
                             x_idx in i_class and inv_idx in i_class,
                         )
                     )
-            if with_stab and R.class_size > 1:
+            if R.class_size > 1:
                 _, S = orbit_with_stabilizer(
                     G, tuple(R.classes[R.class_of[design.index_of[g]]]),
                     index_set_action(G.gens, design.class_images),

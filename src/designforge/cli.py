@@ -52,9 +52,7 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (int, float, str, bool)) or obj is None:
-        return obj
-    return str(obj)
+    return obj
 
 
 def _collect_claims(obj, out):
@@ -209,8 +207,7 @@ def cmd_tdesign(args):
     report = {"command": "tdesign", "claims": []}
     if args.max_t:
         best = None
-        kmin = min(len(b) for b in D.blocks)
-        for t in range(1, kmin + 1):
+        for t in range(1, int(D.block_sizes().min()) + 1):
             try:
                 lam = t_design_lambda(D, t, budget=args.budget)
             except NotTDesign:

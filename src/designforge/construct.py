@@ -10,7 +10,6 @@ from functools import cached_property
 from .design import DesignParams, IncidenceStructure, validate_1design
 from .errors import InternalInconsistency
 from .group import (
-    DEFAULT_ORBIT_CAP,
     ElementTable,
     PermGroup,
     index_set_action,
@@ -66,13 +65,13 @@ class CosetAction:
         return sum(self.point(u * g) == i for u, i in self.index_of.items())
 
 
-def coset_action(G: PermGroup, M: PermGroup, cap=DEFAULT_ORBIT_CAP) -> CosetAction:
+def coset_action(G: PermGroup, M: PermGroup) -> CosetAction:
     """Action of G on the right cosets of M, as the orbit of M's least
     element under right multiplication."""
     M = PermGroup(M.gens, G.degree, base_hint=G.chain.base)
     least = M.chain.least_in_coset
     start = least(G.identity())
-    orbit, index_of, images = orbit_with_transversal(G, start, lambda v, g, ginv: least(v * g), cap=cap)
+    orbit, index_of, images = orbit_with_transversal(G, start, lambda v, g, ginv: least(v * g))
     image = PermGroup([Permutation(col) for col in images], len(orbit))
     return CosetAction(subgroup=M, group=image, index_of=index_of)
 
@@ -144,7 +143,6 @@ class Method2Design:
     index_of: dict
     class_images: list  # per generator of G: class index -> index of its conjugate
     base_block: tuple
-    block_index: dict  # block tuple -> its index
     block_images: list  # per generator of G: block index -> index of its image
 
     @cached_property
@@ -196,7 +194,7 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
     if not base_block:
         raise InternalInconsistency("class does not meet M")
     on_blocks = index_set_action(G.gens, class_images)
-    blocks, block_index, block_images = orbit_with_transversal(G, base_block, on_blocks)
+    blocks, _, block_images = orbit_with_transversal(G, base_block, on_blocks)
     expected_b = G.order() // M.order()
     if len(blocks) != expected_b:
         raise InternalInconsistency(
@@ -216,7 +214,6 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
         index_of=index_of,
         class_images=class_images,
         base_block=base_block,
-        block_index=block_index,
         block_images=block_images,
     )
 

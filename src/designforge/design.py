@@ -1,11 +1,16 @@
 """Incidence structures: 1-design validation, t-design counting, duals,
-and the block-intersection reduction."""
+and the block-intersection reduction.
+
+A structure holds its blocks once, as rows: a (b, k_max) int64 array, row i
+block i's points in increasing order, a short block padded with v. The
+operations compute on the rows with numpy, grouping rows by group.lex_rank;
+t_design_lambda keeps a dict tally, so its witnesses follow insertion order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -17,7 +22,7 @@ from .errors import (
     NotTDesign,
     PartitionViolation,
 )
-from .group import RowIndex
+from .group import RowIndex, lex_rank
 
 
 @dataclass(frozen=True)
@@ -38,51 +43,50 @@ class DesignParams:
 
 
 class IncidenceStructure:
-    """Points 0..v-1 and a list of blocks (sorted point tuples).
-
-    The block list may repeat a block; multiplicity is tracked by position.
-    """
+    """Points 0..v-1 and b blocks, held as rows (see above). A block may
+    repeat; multiplicity is tracked by position."""
 
     def __init__(self, v: int, blocks):
         if v <= 0:
             raise ValueError("need at least one point")
-        blocks = [tuple(sorted(b)) for b in blocks]
+        blocks = list(blocks)
         if not blocks:
             raise ValueError("block list must be nonempty")
-        for b in blocks:
-            if not b:
+        sizes = np.fromiter(map(len, blocks), np.int64, len(blocks))
+        real = np.arange(sizes.max()) < sizes[:, None]
+        rows = np.full(real.shape, v, dtype=np.int64)
+        rows[real] = np.fromiter(chain.from_iterable(blocks), np.int64, int(sizes.sum()))
+        bad = (sizes == 0) | (((rows < 0) | (rows >= v)) & real).any(axis=1)
+        rows.sort(axis=1)
+        bad |= ((rows[:, 1:] == rows[:, :-1]) & (rows[:, 1:] < v)).any(axis=1)
+        if bad.any():
+            blk = tuple(sorted(blocks[int(np.argmax(bad))]))
+            if not blk:
                 raise ValueError("empty block")
-            if b[0] < 0 or b[-1] >= v:
-                raise ValueError("block %r out of range [0,%d)" % (b, v))
-            if len(set(b)) != len(b):
-                raise ValueError("repeated point inside block %r" % (b,))
-        self.v = v
-        self.blocks = blocks
+            if blk[0] < 0 or blk[-1] >= v:
+                raise ValueError("block %r out of range [0,%d)" % (blk, v))
+            raise ValueError("repeated point inside block %r" % (blk,))
+        self.v, self.rows = v, rows
+
+    @classmethod
+    def _trusted(cls, v: int, rows) -> "IncidenceStructure":
+        """A structure from rows known to be sorted and padded with v."""
+        D = object.__new__(cls)
+        D.v, D.rows = v, rows
+        return D
 
     @property
     def b(self):
-        return len(self.blocks)
+        return len(self.rows)
 
-    def block_multiset(self):
-        out = {}
-        for blk in self.blocks:
-            out[blk] = out.get(blk, 0) + 1
-        return out
+    @property
+    def blocks(self):
+        """The blocks as sorted point tuples, for tests and library users."""
+        return [tuple(p for p in row if p < self.v) for row in self.rows.tolist()]
 
-    def point_degrees(self):
-        deg = [0] * self.v
-        for blk in self.blocks:
-            for p in blk:
-                deg[p] += 1
-        return deg
-
-    def incidence_lists(self):
-        """Per-point lists of incident block indices, computed in one sweep."""
-        through = [[] for _ in range(self.v)]
-        for i, blk in enumerate(self.blocks):
-            for p in blk:
-                through[p].append(i)
-        return through
+    def block_sizes(self):
+        """The number of points of each block, as an int array."""
+        return (self.rows < self.v).sum(axis=1)
 
     @cached_property
     def table(self) -> "BlockTable":
@@ -93,7 +97,8 @@ class IncidenceStructure:
         return (
             isinstance(other, IncidenceStructure)
             and self.v == other.v
-            and sorted(self.blocks) == sorted(other.blocks)
+            and np.array_equal(self.table.rows, other.table.rows)
+            and np.array_equal(self.table.mult, other.table.mult)
         )
 
     def __repr__(self):
@@ -101,18 +106,16 @@ class IncidenceStructure:
 
 
 class BlockTable:
-    """The distinct blocks of a structure in sorted(block_multiset()) order:
-    rows, the blocks as int rows padded with v; mult, their multiplicities;
+    """The distinct blocks of a structure in the order of their point tuples:
+    rows, the structure's rows of those blocks; mult, their multiplicities;
     and a RowIndex over the rows."""
 
     def __init__(self, D: IncidenceStructure):
-        mult = D.block_multiset()
-        blocks = sorted(mult)
+        # points shifted by one, so that the pad, 0, sorts first
+        rank, first = lex_rank(np.where(D.rows < D.v, D.rows + 1, 0))
         self.v = D.v
-        self.rows = np.full((len(blocks), max(map(len, blocks))), D.v, dtype=np.int64)
-        for j, blk in enumerate(blocks):
-            self.rows[j, : len(blk)] = blk
-        self.mult = np.array([mult[b] for b in blocks], dtype=np.int64)
+        self.rows = D.rows[first]
+        self.mult = np.bincount(rank)
         self.index = RowIndex(self.rows)
 
     def images(self, perm):
@@ -128,19 +131,23 @@ class BlockTable:
         return j
 
 
+def _distinct(values):
+    """The distinct values of a non-negative int array, in increasing order
+    (np.unique without return values imports numpy.ma, about 1 MiB)."""
+    return np.flatnonzero(np.bincount(values))
+
+
 def validate_1design(D: IncidenceStructure) -> DesignParams:
     """Check constant block size and constant replication."""
-    sizes = {len(b) for b in D.blocks}
+    sizes = _distinct(D.block_sizes())
     if len(sizes) != 1:
-        raise NonUniformBlockSize("block sizes %s" % sorted(sizes))
-    k = sizes.pop()
-    degrees = D.point_degrees()
-    if len(set(degrees)) != 1:
-        raise NonUniformReplication("replication varies: %s" % sorted(set(degrees)))
-    r = degrees[0]
-    if r == 0:
+        raise NonUniformBlockSize("block sizes %s" % sizes.tolist())
+    degrees = _distinct(np.bincount(D.rows.ravel(), minlength=D.v + 1)[: D.v])
+    if len(degrees) != 1:
+        raise NonUniformReplication("replication varies: %s" % degrees.tolist())
+    if degrees[0] == 0:
         raise NonUniformReplication("isolated points")
-    return DesignParams(t=1, v=D.v, b=D.b, k=k, lam=r)
+    return DesignParams(t=1, v=D.v, b=D.b, k=int(sizes[0]), lam=int(degrees[0]))
 
 
 def t_design_lambda(D: IncidenceStructure, t: int, budget: int = 10**8) -> int:
@@ -148,14 +155,16 @@ def t_design_lambda(D: IncidenceStructure, t: int, budget: int = 10**8) -> int:
     blocks (with multiplicity); raises NotTDesign with a witness pair."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    if any(len(b) < t for b in D.blocks):
+    sizes = D.block_sizes().tolist()
+    if min(sizes) < t:
         raise ValueError("t exceeds the minimum block size")
-    work = sum(comb(len(b), t) for b in D.blocks)
+    work = sum(comb(k, t) for k in sizes)
     if work > budget:
         raise BudgetExceeded("t-subset tally needs %d increments" % work)
     tally = {}
-    for blk in D.blocks:
-        for sub in combinations(blk, t):
+    # rows as tuples, not lists: the garbage collector stops tracking tuples of ints
+    for row, k in zip(zip(*D.rows.T.tolist()), sizes):
+        for sub in combinations(row[:k], t):
             tally[sub] = tally.get(sub, 0) + 1
     counts = set(tally.values())
     total = comb(D.v, t)
@@ -172,6 +181,18 @@ def t_design_lambda(D: IncidenceStructure, t: int, budget: int = 10**8) -> int:
     raise NotTDesign((lo, hi), (tally[lo], tally[hi]))
 
 
+def _incidence_rows(D: IncidenceStructure):
+    """Per point, the indices of the blocks through it in increasing order,
+    as rows padded with b; and the number of blocks through each point."""
+    real = D.rows < D.v
+    points = D.rows[real]
+    degrees = np.bincount(points, minlength=D.v)
+    rows = np.full((D.v, degrees.max()), D.b, dtype=np.int64)
+    # a stable sort by point keeps each point's block indices increasing
+    rows[np.arange(degrees.max()) < degrees[:, None]] = np.nonzero(real)[0][np.argsort(points, kind="stable")]
+    return rows, degrees
+
+
 def dual_design(D: IncidenceStructure) -> IncidenceStructure:
     """Transpose the incidence relation.
 
@@ -179,11 +200,10 @@ def dual_design(D: IncidenceStructure) -> IncidenceStructure:
     points of D therefore yield repeated dual blocks, preserving multiset
     structure.
     """
-    through = D.incidence_lists()
-    for x, lst in enumerate(through):
-        if not lst:
-            raise ValueError("point %d lies in no block; dual undefined" % x)
-    return IncidenceStructure(D.b, [tuple(lst) for lst in through])
+    rows, degrees = _incidence_rows(D)
+    if not degrees.all():
+        raise ValueError("point %d lies in no block; dual undefined" % np.argmin(degrees))
+    return IncidenceStructure._trusted(D.b, rows)
 
 
 @dataclass
@@ -205,42 +225,31 @@ def reduce_design(D: IncidenceStructure, params: DesignParams = None) -> Reduced
 
     Two points share a class iff they lie in exactly the same blocks, which
     for a 1-design is the same as lying in each other's block intersection.
+    Classes are numbered in the order of their least points.
     """
     if params is None:
         params = validate_1design(D)
-    through = D.incidence_lists()
-    sig_to_class = {}
-    class_of = [0] * D.v
-    classes = []
-    for x in range(D.v):
-        sig = tuple(through[x])
-        idx = sig_to_class.get(sig)
-        if idx is None:
-            idx = len(classes)
-            sig_to_class[sig] = idx
-            classes.append([])
-        class_of[x] = idx
-        classes[idx].append(x)
-    sizes = {len(c) for c in classes}
+    rank, first = lex_rank(_incidence_rows(D)[0])
+    n = len(first)
+    class_of = np.argsort(np.argsort(first))[rank]
+    sizes = _distinct(np.bincount(class_of))
     if len(sizes) != 1:
-        raise PartitionViolation("I-class sizes vary: %s" % sorted(sizes))
-    size = sizes.pop()
+        raise PartitionViolation("I-class sizes vary: %s" % sizes.tolist())
+    size = int(sizes[0])
     if params.k % size != 0:
         raise PartitionViolation("class size %d does not divide k=%d" % (size, params.k))
-    qblocks = []
-    for blk in D.blocks:
-        cls = sorted({class_of[p] for p in blk})
-        if len(cls) * size != len(blk):
-            raise PartitionViolation("block %r is not a union of classes" % (blk,))
-        qblocks.append(tuple(cls))
-    quotient = IncidenceStructure(len(classes), qblocks)
+    # each class lies whole in the blocks it meets, so a block's classes,
+    # sorted with the pad (class n) last, repeat each class size times
+    qrows = np.sort(np.append(class_of, n)[D.rows], axis=1)[:, ::size]
+    quotient = IncidenceStructure._trusted(n, np.ascontiguousarray(qrows))
     qparams = validate_1design(quotient)
     if (qparams.v, qparams.k, qparams.lam) != (params.v // size, params.k // size, params.lam):
         raise PartitionViolation("quotient parameters disagree with reduction")
     return ReducedStructure(
         parent=D,
-        classes=[tuple(c) for c in classes],
-        class_of=class_of,
+        # tuples straight from the columns, with no list per class to collect
+        classes=list(zip(*np.argsort(class_of, kind="stable").reshape(-1, size).T.tolist())),
+        class_of=class_of.tolist(),
         quotient=quotient,
         class_size=size,
         params=qparams,
@@ -257,8 +266,8 @@ def write_design(path, D: IncidenceStructure, params: DesignParams = None, comme
         fh.write("design %d %d\n" % (D.v, D.b))
         if params is not None:
             fh.write("%d %d %d\n" % (params.t, params.k, params.lam))
-        for blk in D.blocks:
-            fh.write(" ".join(str(p) for p in blk) + "\n")
+        for row in D.rows.tolist():
+            fh.write(" ".join(str(p) for p in row if p < D.v) + "\n")
 
 
 def read_design(path):
@@ -287,8 +296,7 @@ def read_design(path):
         params = list(rows.pop(0))
     if len(rows) != b:
         raise ValueError("expected %d blocks, found %d" % (b, len(rows)))
-    blocks = rows
-    D = IncidenceStructure(v, blocks)
+    D = IncidenceStructure(v, rows)
     dp = None
     if params is not None:
         if len(params) != 3:
@@ -296,7 +304,7 @@ def read_design(path):
         t, k, lam = params
         dp = DesignParams(t=t, v=v, b=b, k=k, lam=lam)
         try:
-            ok = all(len(blk) == k for blk in D.blocks) and t_design_lambda(D, t) == lam
+            ok = (D.block_sizes() == k).all() and t_design_lambda(D, t) == lam
         except NotTDesign:
             ok = False
         if not ok:

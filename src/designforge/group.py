@@ -358,16 +358,29 @@ def orbit_with_transversal(G: PermGroup, value, action, cap=DEFAULT_ORBIT_CAP):
     return queue, index, [tuple(col) for col in images]
 
 
+def lex_rank(rows):
+    """Dense lexicographic ranks of the rows of a 2-D non-negative int array,
+    and the index of the first row of each rank.
+
+    Each row is ranked as one np.void item of its big-endian 8-byte words:
+    big-endian bytes compare as the numbers do, so a 1-D np.unique orders
+    the items as the rows, lexicographically."""
+    rows = np.ascontiguousarray(rows, dtype=">u8")
+    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+    _, first, rank = np.unique(keys, return_index=True, return_inverse=True)
+    return rank.ravel(), first
+
+
 class RowIndex:
     """The rows of a 2-D int array, found by a 64-bit key: a fixed random
     linear form of the row, wrapping modulo 2**64. A row found by its key
     is compared in full, so that keys which collide cost another probe,
     never a wrong answer.
 
-    Exact keys, one np.void item of big-endian words per row as
-    autsearch._lex_rank ranks them, need no weights and no probe loop, but
-    sort and search slower: with them, in-process on a 2-core Xeon VM (best
-    of 3), the (22,3) Mathieu row's search took 129 ms instead of 120 ms and
+    Exact keys, one np.void item of big-endian words per row as lex_rank
+    ranks them, need no weights and no probe loop, but sort and search
+    slower: with them, in-process on a 2-core Xeon VM (best of 3), the
+    (22,3) Mathieu row's search took 129 ms instead of 120 ms and
     casestudies._dual_block_imprimitivity 18.6 ms instead of 12.0 ms."""
 
     def __init__(self, rows):

@@ -1,13 +1,157 @@
 """Independent test oracles, kept free of the package's search machinery."""
 
 from itertools import combinations, permutations
+from math import comb
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 
-from designforge.errors import OrbitOverflow
+from designforge.design import DesignParams
+from designforge.errors import (
+    NonUniformBlockSize,
+    NonUniformReplication,
+    NotTDesign,
+    OrbitOverflow,
+    PartitionViolation,
+)
 from designforge.group import PermGroup, index_set_action, normalizing_map_check
 from designforge.perm import Permutation
+
+
+# -- incidence structures as tuple loops, the reference for design.py's rows
+
+
+def structure_blocks(v, blocks):
+    """The blocks as IncidenceStructure takes them: each sorted into a
+    tuple, and checked one at a time for being empty, out of range or
+    repeating a point (ValueError)."""
+    if v <= 0:
+        raise ValueError("need at least one point")
+    blocks = [tuple(sorted(b)) for b in blocks]
+    if not blocks:
+        raise ValueError("block list must be nonempty")
+    for b in blocks:
+        if not b:
+            raise ValueError("empty block")
+        if b[0] < 0 or b[-1] >= v:
+            raise ValueError("block %r out of range [0,%d)" % (b, v))
+        if len(set(b)) != len(b):
+            raise ValueError("repeated point inside block %r" % (b,))
+    return blocks
+
+
+def block_multiset(D):
+    """Each distinct block -> its multiplicity, in first-occurrence order."""
+    out = {}
+    for blk in D.blocks:
+        out[blk] = out.get(blk, 0) + 1
+    return out
+
+
+def point_degrees(D):
+    deg = [0] * D.v
+    for blk in D.blocks:
+        for p in blk:
+            deg[p] += 1
+    return deg
+
+
+def incidence_lists(D):
+    """Per point, the indices of the blocks through it, in increasing order."""
+    through = [[] for _ in range(D.v)]
+    for i, blk in enumerate(D.blocks):
+        for p in blk:
+            through[p].append(i)
+    return through
+
+
+def block_table_by_sorting(D):
+    """The distinct blocks in sorted(block_multiset()) order as rows padded
+    with v, and their multiplicities."""
+    mult = block_multiset(D)
+    blocks = sorted(mult)
+    width = max(map(len, blocks))
+    return [list(b) + [D.v] * (width - len(b)) for b in blocks], [mult[b] for b in blocks]
+
+
+def validate_1design_by_tuples(D):
+    """Constant block size and constant replication, block by block."""
+    sizes = {len(b) for b in D.blocks}
+    if len(sizes) != 1:
+        raise NonUniformBlockSize("block sizes %s" % sorted(sizes))
+    k = sizes.pop()
+    degrees = point_degrees(D)
+    if len(set(degrees)) != 1:
+        raise NonUniformReplication("replication varies: %s" % sorted(set(degrees)))
+    r = degrees[0]
+    if r == 0:
+        raise NonUniformReplication("isolated points")
+    return DesignParams(t=1, v=D.v, b=D.b, k=k, lam=r)
+
+
+def t_design_lambda_by_tuples(D, t):
+    """lambda_t by a dict tally over the block tuples, NotTDesign with the
+    same witnesses as design.t_design_lambda (no budget)."""
+    tally = {}
+    for blk in D.blocks:
+        for sub in combinations(blk, t):
+            tally[sub] = tally.get(sub, 0) + 1
+    counts = set(tally.values())
+    total = comb(D.v, t)
+    if len(counts) == 1 and len(tally) == total:
+        return counts.pop()
+    if len(tally) < total:
+        covered = set(tally)
+        missing = next(s for s in combinations(range(D.v), t) if s not in covered)
+        witness_hi = max(tally, key=tally.get)
+        raise NotTDesign((missing, witness_hi), (0, tally[witness_hi]))
+    lo = min(tally, key=tally.get)
+    hi = max(tally, key=tally.get)
+    raise NotTDesign((lo, hi), (tally[lo], tally[hi]))
+
+
+def dual_by_tuples(D):
+    """The dual's blocks: each point's incidence list, as a tuple."""
+    through = incidence_lists(D)
+    for x, lst in enumerate(through):
+        if not lst:
+            raise ValueError("point %d lies in no block; dual undefined" % x)
+    return [tuple(lst) for lst in through]
+
+
+def reduce_by_tuples(D, params=None):
+    """(classes, class_of, quotient blocks, quotient params) of
+    design.reduce_design, classes numbered by first point in a dict of
+    incidence tuples, and the same PartitionViolation messages."""
+    if params is None:
+        params = validate_1design_by_tuples(D)
+    sig_to_class = {}
+    class_of = [0] * D.v
+    classes = []
+    for x, sig in enumerate(incidence_lists(D)):
+        idx = sig_to_class.setdefault(tuple(sig), len(classes))
+        if idx == len(classes):
+            classes.append([])
+        class_of[x] = idx
+        classes[idx].append(x)
+    sizes = {len(c) for c in classes}
+    if len(sizes) != 1:
+        raise PartitionViolation("I-class sizes vary: %s" % sorted(sizes))
+    size = sizes.pop()
+    if params.k % size != 0:
+        raise PartitionViolation("class size %d does not divide k=%d" % (size, params.k))
+    qblocks = []
+    for blk in D.blocks:
+        cls = sorted({class_of[p] for p in blk})
+        if len(cls) * size != len(blk):
+            raise PartitionViolation("block %r is not a union of classes" % (blk,))
+        qblocks.append(tuple(cls))
+    quotient = SimpleNamespace(v=len(classes), b=len(qblocks), blocks=qblocks)
+    qparams = validate_1design_by_tuples(quotient)
+    if (qparams.v, qparams.k, qparams.lam) != (params.v // size, params.k // size, params.lam):
+        raise PartitionViolation("quotient parameters disagree with reduction")
+    return [tuple(c) for c in classes], class_of, qblocks, qparams
 
 
 def naive_closure(gens, degree, cap=100000):
@@ -31,7 +175,7 @@ def brute_force_aut_order(D):
 
     Exponential; an independent check for small structures.
     """
-    mult = D.block_multiset()
+    mult = block_multiset(D)
     count = 0
     for images in permutations(range(D.v)):
         ok = True
@@ -56,8 +200,8 @@ def oracle_aut_order(D):
         for a, b in combinations(blk, 2):
             pair[a][b] += 1
             pair[b][a] += 1
-    deg = D.point_degrees()
-    multiset = D.block_multiset()
+    deg = point_degrees(D)
+    multiset = block_multiset(D)
 
     count = 0
 
@@ -93,7 +237,7 @@ def oracle_aut_order(D):
 def is_automorphism_by_multiset(D, perm):
     """Whether perm maps each distinct block to a block of the same
     multiplicity, block by block through the block multiset."""
-    mult = D.block_multiset()
+    mult = block_multiset(D)
     return all(mult.get(tuple(sorted(perm[p] for p in blk))) == m for blk, m in mult.items())
 
 
@@ -106,7 +250,7 @@ def block_images_by_sorting(D, perm):
     """Each distinct block's index in sorted(block_multiset()), looked up one
     image at a time; None when some image is not a block of the same
     multiplicity."""
-    mult = D.block_multiset()
+    mult = block_multiset(D)
     dblocks = sorted(mult)
     where = {blk: j for j, blk in enumerate(dblocks)}
     out = []

@@ -43,7 +43,7 @@ from designforge.group import (
     orbit_with_stabilizer,
 )
 from designforge.perm import Permutation
-from oracles import naive_closure, named_action, oracle_aut_order
+from oracles import incidence_lists, naive_closure, named_action, oracle_aut_order
 
 MATHIEU_KEYS = [(24, 2), (24, 3), (23, 2), (23, 3), (22, 2), (22, 3)]
 
@@ -426,7 +426,7 @@ def _random_structure(rng):
             continue
         D = IncidenceStructure(v, blocks)
         sig = {}
-        for p, lst in enumerate(D.incidence_lists()):
+        for p, lst in enumerate(incidence_lists(D)):
             sig.setdefault(tuple(lst), []).append(p)
         bound = 1
         for cls in sig.values():

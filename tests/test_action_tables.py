@@ -41,7 +41,7 @@ def test_block_order_and_transversal_match_bfs(design):
     # base block^u = block j
     blocks, trans = block_orbit_bfs(design)
     assert design.design.blocks == blocks
-    assert design.block_index == {blk: j for j, blk in enumerate(blocks)}
+    assert design.design.table.mult.tolist() == [1] * len(blocks)
     M = design.M
     for j, blk in enumerate(blocks):
         stab = schreier_stabilizer(design.G, blocks, design.block_images, root=j)

@@ -43,8 +43,8 @@ def test_psl_family_q3_all_claims_pass():
 
 
 def test_psl_family_q3_known_parameters():
-    report = run_psl_family(3, variants=("squared",))
-    by_kind = {r.kind: r for r in report["records"]}
+    report = run_psl_family(3)
+    by_kind = {r.kind: r for r in report["records"] if r.variant == "squared"}
     inv, unip, ss = by_kind["involution"], by_kind["unipotent"], by_kind["semisimple"]
     assert inv.design_params.as_tuple() == (1, 45, 9, 3)
     assert inv.i_size == 3 and inv.s_order == 24
@@ -62,7 +62,7 @@ def test_psl_family_q3_known_parameters():
 
 
 def test_psl_family_variants_agree():
-    report = run_psl_family(3, with_stab=False)
+    report = run_psl_family(3)
     keyed = {}
     for rec in report["records"]:
         keyed.setdefault((rec.kind, rec.g_order), []).append(rec)

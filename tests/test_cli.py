@@ -2,6 +2,7 @@ import dataclasses
 import json
 from argparse import Namespace
 
+import numpy as np
 import pytest
 
 from designforge import cli
@@ -245,3 +246,11 @@ def test_emit_collects_claims_inside_dataclasses(capsys):
     assert cli._emit(args, failing) == 4
     body = json.loads(capsys.readouterr().out)
     assert body["rows"][1] == {"n": 2, "claims": [claim("b", 1, 2)]}
+
+
+def test_emit_rejects_numpy_scalars(capsys):
+    # a value a report must not carry fails the encoding instead of being
+    # written as a string
+    args = Namespace(seed=0, format="json", report=None)
+    with pytest.raises(TypeError):
+        cli._emit(args, {"command": "x", "lambda_t": np.int64(3), "claims": []})

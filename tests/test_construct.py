@@ -23,7 +23,6 @@ from designforge.construct import (
     perm_char_value,
     stabilizer_orbits,
 )
-from designforge.errors import OrbitOverflow
 from designforge.group import PermGroup, centralizer, conjugacy_class, element_of_order, schreier_stabilizer
 from designforge.perm import Permutation, parse_cycle_string
 from oracles import (
@@ -96,12 +95,6 @@ def test_coset_action_large_subgroup():
     for m in (1, 2, 3, 4, 5, 6, 7, 8, 11, 14, 15, 23):
         g = element_of_order(G, m)
         assert ca.fixed_point_count(g) == len(g.fixed_points())
-
-
-def test_coset_action_orbit_cap():
-    G = build_psl2(9)
-    with pytest.raises(OrbitOverflow):
-        coset_action(G, embed_pgl2(3, "squared"), cap=10)
 
 
 def test_coset_action_not_self_normalizing():

@@ -1,4 +1,7 @@
+import dataclasses
+from collections import Counter
 from itertools import combinations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +19,22 @@ from designforge.design import (
 )
 from designforge.errors import (
     BudgetExceeded,
+    DesignForgeError,
     NonUniformBlockSize,
     NonUniformReplication,
     NotTDesign,
     PartitionViolation,
+)
+from oracles import (
+    block_multiset,
+    block_table_by_sorting,
+    dual_by_tuples,
+    incidence_lists,
+    point_degrees,
+    reduce_by_tuples,
+    structure_blocks,
+    t_design_lambda_by_tuples,
+    validate_1design_by_tuples,
 )
 
 FANO = IncidenceStructure(
@@ -46,8 +61,8 @@ def test_multiplicity_tracking():
     assert D.b == 3
     assert D.table.mult.tolist() == [2, 1]
     assert D.table.rows.tolist() == [[0, 1], [1, 2]]
-    assert D.block_multiset() == {(0, 1): 2, (1, 2): 1}
-    assert D.incidence_lists()[1] == [0, 1, 2]
+    assert block_multiset(D) == {(0, 1): 2, (1, 2): 1}
+    assert incidence_lists(D)[1] == [0, 1, 2]
 
 
 def test_validate_1design_fano():
@@ -192,3 +207,92 @@ def test_dual_involution_property(data):
             dual_design(D)
         return
     assert dual_design(dual_design(D)) == D
+
+
+def _random_structure(rng):
+    """v and a block list: cyclic 1-designs and random ragged blocks, with
+    repeated blocks, points blown up into twin classes (now and then of
+    unequal sizes), a point in no block, and now and then an empty,
+    out-of-range or repeated-point block."""
+    m = rng.randrange(1, 7)
+    if rng.random() < 0.5:
+        base = rng.sample(range(m), rng.randrange(1, m + 1))
+        blocks = [[(p + i) % m for p in base] for i in range(m)] * rng.randrange(1, 3)
+    else:
+        blocks = [rng.sample(range(m), rng.randrange(1, m + 1)) for _ in range(rng.randrange(1, 7))]
+        blocks += rng.sample(blocks, rng.randrange(len(blocks) + 1))
+    s = rng.randrange(1, 4)
+    copies = [s + (rng.random() < 0.1) for _ in range(m)]
+    starts = [sum(copies[:p]) for p in range(m)]
+    v = sum(copies)
+    label = rng.sample(range(v), v)
+    blocks = [[label[starts[p] + j] for p in blk for j in range(copies[p])] for blk in blocks]
+    for blk in blocks:
+        rng.shuffle(blk)
+    v += rng.random() < 0.2
+    if rng.random() < 0.15:
+        bad = rng.choice([[], [v], [-1, 0], [0, 0], [v - 1, v - 1]])
+        blocks.insert(rng.randrange(len(blocks) + 1), bad)
+    return v, blocks
+
+
+def _outcome(f, *args):
+    try:
+        return "ok", f(*args)
+    except (DesignForgeError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None), getattr(exc, "counts", None)
+
+
+def _reduced(D, params=None):
+    R = reduce_design(D, params)
+    assert all(type(x) is int for x in R.class_of + [p for c in R.classes for p in c])
+    return R.classes, R.class_of, R.quotient.blocks, R.params
+
+
+# error messages the random structures must meet
+_CASES = ("empty block", "out of range", "repeated point", "I-class sizes vary", "does not divide", "quotient parameters")
+
+
+def test_rows_match_tuple_oracles():
+    # the row arithmetic of design.py against the tuple loops it replaced
+    rng = Random(14)
+    seen = Counter()
+    for _ in range(600):
+        v, blocks = _random_structure(rng)
+        expected = _outcome(structure_blocks, v, blocks)
+        got = _outcome(IncidenceStructure, v, blocks)
+        if expected[0] != "ok":
+            assert got == expected
+            seen[next(c for c in _CASES if c in expected[1])] += 1
+            continue
+        D = got[1]
+        assert (D.v, D.b, D.blocks) == (v, len(blocks), expected[1])
+        assert (D.table.rows.tolist(), D.table.mult.tolist()) == block_table_by_sorting(D)
+        seen["repeated blocks"] += D.table.mult.max() > 1
+        seen["ragged"] += len(set(map(len, D.blocks))) > 1
+        params = _outcome(validate_1design, D)
+        assert params == _outcome(validate_1design_by_tuples, D)
+        if params[0] == "ok":
+            assert all(type(x) is int for x in dataclasses.astuple(params[1]))
+            assert point_degrees(D) == [params[1].lam] * v
+        dual = _outcome(dual_design, D)
+        if dual[0] == "ok":
+            dual = "ok", dual[1].blocks
+            assert dual[1] == [tuple(lst) for lst in incidence_lists(D)]
+        assert dual == _outcome(dual_by_tuples, D)
+        reduced = _outcome(_reduced, D)
+        assert reduced == _outcome(reduce_by_tuples, D)
+        seen["twins" if reduced[0] == "ok" and len(reduced[1][0][0]) > 1 else reduced[0]] += 1
+        # parameters that need not fit D reach the later checks of the reduction
+        other = DesignParams(1, v, D.b, rng.randrange(1, 5), rng.randrange(1, 3))
+        if params[0] == "ok" and rng.random() < 0.5:
+            other = params[1]
+        reduced = _outcome(_reduced, D, other)
+        assert reduced == _outcome(reduce_by_tuples, D, other)
+        seen[next(c for c in _CASES if c in reduced[1]) if reduced[0] is PartitionViolation else reduced[0]] += 1
+        for t in range(1, min(3, *map(len, D.blocks)) + 1):
+            lam = _outcome(t_design_lambda, D, t)
+            assert lam == _outcome(t_design_lambda_by_tuples, D, t)
+            seen[lam[0]] += 1
+    met = {"repeated blocks", "ragged", "twins", NonUniformBlockSize, NonUniformReplication, NotTDesign}
+    assert met | set(_CASES) <= set(+seen), seen

@@ -1,14 +1,17 @@
-"""Every module of the package, other than __init__.py, uses each name it
-imports, and every underscore-named function or class is referenced
-somewhere in the package."""
+"""Every module of the package, other than __init__.py, and the test
+oracles use each name they import; every underscore-named function or
+class is referenced somewhere in the package, and every oracle in some
+test module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "designforge"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "designforge"
+ORACLES = TESTS / "oracles.py"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + [ORACLES]
 
 
 def unused_imports(source: str):
@@ -25,24 +28,38 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
+def referenced_names(trees):
+    """Every name, attribute and imported name the trees refer to."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+    return out
+
+
 def unreferenced_private(sources):
     """Underscore-named (not dunder) functions and classes, methods
     included, that no name, attribute or import in the sources refers to."""
     trees = [ast.parse(src) for src in sources]
     defined = set()
-    referenced = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if node.name.startswith("_") and not node.name.endswith("__"):
                     defined.add(node.name)
-            elif isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
-    return sorted(defined - referenced)
+    return sorted(defined - referenced_names(trees))
+
+
+def unreferenced_top_level(source, others):
+    """Top-level functions of source that no name, attribute or import in
+    the other sources refers to."""
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    return sorted(defined - referenced_names([ast.parse(src) for src in others]))
 
 
 def test_unused_imports_are_found():
@@ -65,3 +82,12 @@ def test_unreferenced_private_are_found():
 def test_no_unreferenced_private():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private(sources) == []
+
+
+def test_unreferenced_top_level_are_found():
+    assert unreferenced_top_level("def a(): pass\ndef b(): pass\nx = 1\n", ["from m import a\n"]) == ["b"]
+
+
+def test_every_oracle_is_used_by_a_test():
+    tests = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+    assert unreferenced_top_level(ORACLES.read_text(), tests) == []

@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 
 from designforge.atlas import build_psl2, embed_pgl2, normalizer_of_cyclic
 from designforge.autsearch import (
-    _lex_rank,
     _Search,
     aut_group,
     fixes_every_block,
@@ -27,6 +26,7 @@ from designforge.group import (
     ElementTable,
     RowIndex,
     element_of_order,
+    lex_rank,
     orbit_minima,
     orbit_with_transversal,
 )
@@ -136,7 +136,7 @@ def test_refine_matches_structured_oracle(structure):
     )
 )
 def test_lex_rank_matches_unique_rows(rows):
-    rank, first = _lex_rank(rows)
+    rank, first = lex_rank(rows)
     uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
     assert np.array_equal(rank, inverse.ravel())
     assert np.array_equal(rows[first], uniq)
