@@ -10,9 +10,18 @@ import importlib.resources
 from dataclasses import dataclass, field
 from math import gcd
 
+import numpy as np
+
 from .errors import InvalidField, InvalidGenerators
 from .gf import FieldElem, FieldSpec, field_make, frobenius, is_square, subfield_embedding
-from .group import PermGroup, index_set_action, orbit_with_stabilizer, orbit_with_transversal
+from .group import (
+    ElementTable,
+    PermGroup,
+    conjugation_action,
+    index_set_action,
+    orbit_with_stabilizer,
+    orbit_with_transversal,
+)
 from .perm import Permutation, read_generator_file
 
 
@@ -238,10 +247,9 @@ def normalizer_of_cyclic(G: PermGroup, g: Permutation) -> PermGroup:
     """N_G(<g>): the stabilizer, in g's class orbit, of the set of generators
     g^i of <g> (i prime to |g|) that lie in that class."""
     n = g.order()
-    _, index, images = orbit_with_transversal(G, g, Permutation.conjugate)
-    generators = [g**i for i in range(1, n) if gcd(i, n) == 1]
-    powers = tuple(sorted(index[h] for h in generators if h in index))
-    _, stab = orbit_with_stabilizer(G, powers, index_set_action(G.gens, images))
+    cls, images = orbit_with_transversal(G, g.images, conjugation_action(G))
+    found = ElementTable(cls).find([g**i for i in range(1, n) if gcd(i, n) == 1])
+    _, stab = orbit_with_stabilizer(G, np.sort(found[found >= 0]), index_set_action(images))
     name = G.recipe
     stab.recipe = GroupRecipe(
         "N(%s, <ord-%d>)" % (name.name if name else "G", g.order()),

@@ -26,7 +26,7 @@ is_design_automorphism, fixes_every_block and lift_test_method1.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
@@ -44,6 +44,8 @@ class AutResult:
     generators act on points ⊎ distinct blocks (points first, then the
     distinct blocks in their search ordering); point_gens are the
     restrictions to points, which determine the block parts.
+    known_block_images holds, for each generator of the known group the
+    search was seeded with, its BlockTable.images.
     """
 
     generators: list
@@ -53,6 +55,7 @@ class AutResult:
     block_transitive: bool
     complete: bool
     nodes: int
+    known_block_images: list = field(default_factory=list)
 
 
 class _Budget(Exception):
@@ -195,7 +198,10 @@ def aut_group(D: IncidenceStructure, budget: int = 10**6, known: PermGroup = Non
     D, seeds the search; InvalidGenerators when one of its generators is
     not one. The search takes a Python frame per level: BudgetExceeded when
     its tree is deeper than the recursion limit."""
-    if known is not None and (known.degree != D.v or not all(is_design_automorphism(D, g) for g in known.gens)):
+    known_gens = () if known is None else known.gens
+    # each known generator's block images, kept for the block parts below
+    images = {g: D.table.images(g) for g in known_gens} if known is None or known.degree == D.v else None
+    if images is None or any(j is None for j in images.values()):
         raise InvalidGenerators("the known group is not a group of automorphisms of the design")
     search = _Search(D, budget, known)
     complete = True
@@ -208,7 +214,10 @@ def aut_group(D: IncidenceStructure, budget: int = 10**6, known: PermGroup = Non
     K = search.group
     point_gens = list(K.gens)
     # each generator extended to the distinct blocks, numbered from v on
-    gens = [Permutation(g.images + tuple((D.table.images(g) + D.v).tolist())) for g in point_gens]
+    for g in point_gens:
+        if g not in images:
+            images[g] = D.table.images(g)
+    gens = [Permutation(g.images + tuple((images[g] + D.v).tolist())) for g in point_gens]
     block_transitive = False
     if point_gens:
         full = PermGroup(gens, D.v + search.nb)
@@ -221,6 +230,7 @@ def aut_group(D: IncidenceStructure, budget: int = 10**6, known: PermGroup = Non
         block_transitive=block_transitive,
         complete=complete,
         nodes=search.nodes,
+        known_block_images=[images[g] for g in known_gens],
     )
 
 
@@ -327,7 +337,7 @@ def lift_test_method2(design, phi: Permutation) -> bool:
 
 def _carries_base_block(design, pi) -> bool:
     """Whether pi, None when the class is not preserved, maps the base block to a block."""
-    return pi is not None and design.design.table.index.find([sorted(pi[p] for p in design.base_block)])[0] >= 0
+    return pi is not None and design.design.table.index.find([np.sort(np.take(pi.images, design.base_block))])[0] >= 0
 
 
 @dataclass

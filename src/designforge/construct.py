@@ -7,11 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .design import DesignParams, IncidenceStructure, validate_1design
 from .errors import InternalInconsistency
 from .group import (
     ElementTable,
     PermGroup,
+    TablePositions,
+    conjugation_action,
     index_set_action,
     orbit_with_transversal,
     schreier_stabilizer,
@@ -62,7 +66,8 @@ class CosetAction:
     def fixed_point_count(self, g: Permutation) -> int:
         """1_M^G(g): the number of cosets Mu that g fixes, i.e. with Mug = Mu,
         u the least element of its coset."""
-        return sum(self.point(u * g) == i for u, i in self.index_of.items())
+        is_least = self.subgroup.chain.is_least_in_coset
+        return sum(is_least(u, u * g) for u in self.index_of)
 
 
 def coset_action(G: PermGroup, M: PermGroup) -> CosetAction:
@@ -70,9 +75,14 @@ def coset_action(G: PermGroup, M: PermGroup) -> CosetAction:
     element under right multiplication."""
     M = PermGroup(M.gens, G.degree, base_hint=G.chain.base)
     least = M.chain.least_in_coset
-    start = least(G.identity())
-    orbit, index_of, images = orbit_with_transversal(G, start, lambda v, g, ginv: least(v * g))
-    image = PermGroup([Permutation(col) for col in images], len(orbit))
+
+    def on_cosets(rows, k):
+        g = G.gens[k]
+        return np.array([least(Permutation._trusted(tuple(u)) * g).images for u in rows.tolist()], rows.dtype)
+
+    orbit, images = orbit_with_transversal(G, least(G.identity()).images, on_cosets)
+    image = PermGroup([Permutation(col.tolist()) for col in images], len(orbit))
+    index_of = {Permutation._trusted(tuple(u)): i for i, u in enumerate(orbit.tolist())}
     return CosetAction(subgroup=M, group=image, index_of=index_of)
 
 
@@ -116,13 +126,13 @@ def method1_design(
     if orbit_index >= len(orbits):
         raise ValueError("no stabilizer orbit with that selector")
     delta = tuple(orbits[orbit_index])
-    on_sets = index_set_action(G.gens, [g.images for g in G.gens])
+    on_sets = index_set_action([g.images for g in G.gens])
     block_orbit = orbit_with_transversal(G, delta, on_sets)[0]
     if len(block_orbit) != G.degree:
         raise InternalInconsistency(
             "expected %d distinct blocks, found %d" % (G.degree, len(block_orbit))
         )
-    D = IncidenceStructure(G.degree, block_orbit)
+    D = IncidenceStructure._trusted(G.degree, block_orbit.astype(np.int64))
     params = validate_1design(D)
     if (params.k, params.lam) != (len(delta), len(delta)):
         raise InternalInconsistency("parameters disagree with the construction")
@@ -139,16 +149,20 @@ class Method2Design:
     G: PermGroup
     M: PermGroup
     g: Permutation
-    class_elems: list
-    index_of: dict
+    class_table: ElementTable  # the class orbit: row i the images of class element i
     class_images: list  # per generator of G: class index -> index of its conjugate
-    base_block: tuple
+    base_block: np.ndarray  # the class indices of the elements in M
     block_images: list  # per generator of G: block index -> index of its image
 
+    @property
+    def class_elems(self) -> ElementTable:
+        """The class elements in orbit order, each read from the table."""
+        return self.class_table
+
     @cached_property
-    def class_table(self) -> ElementTable:
-        """The class elements as an ElementTable, built on first use."""
-        return ElementTable(self.class_elems)
+    def index_of(self) -> TablePositions:
+        """Class element -> its index, looked up in the table."""
+        return TablePositions(self.class_table)
 
     def induced_point_perm(self, phi: Permutation):
         """Point map induced by conjugation by phi; None if the class is not
@@ -159,7 +173,7 @@ class Method2Design:
     def point_centralizers(self, points):
         """C_G of the class elements at the given indices, each the stabilizer
         of its point in the class orbit."""
-        return [schreier_stabilizer(self.G, self.class_elems, self.class_images, root=i) for i in points]
+        return [schreier_stabilizer(self.G, self.class_table, self.class_images, root=i) for i in points]
 
 
 def _stabilized_point(G: PermGroup, M: PermGroup):
@@ -184,23 +198,24 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
         raise ValueError("g must be a nonidentity element of M")
     if g not in M:
         raise ValueError("g is not a member of M")
-    class_elems, index_of, class_images = orbit_with_transversal(G, g, Permutation.conjugate)
+    table, class_images = orbit_with_transversal(G, g.images, conjugation_action(G))
     pt = _stabilized_point(G, M)
     if pt is not None:
         # M is all of G fixing pt, and the class lies in G
-        base_block = tuple(i for i, h in enumerate(class_elems) if h.images[pt] == pt)
+        base_block = np.flatnonzero(table[:, pt] == pt)
     else:
-        base_block = tuple(i for i, h in enumerate(class_elems) if h in M)
-    if not base_block:
+        base_block = np.array(
+            [i for i, h in enumerate(table.tolist()) if Permutation._trusted(tuple(h)) in M], dtype=np.int64
+        )
+    if not len(base_block):
         raise InternalInconsistency("class does not meet M")
-    on_blocks = index_set_action(G.gens, class_images)
-    blocks, _, block_images = orbit_with_transversal(G, base_block, on_blocks)
+    blocks, block_images = orbit_with_transversal(G, base_block, index_set_action(class_images))
     expected_b = G.order() // M.order()
     if len(blocks) != expected_b:
         raise InternalInconsistency(
             "expected %d blocks (= |G:M|), found %d" % (expected_b, len(blocks))
         )
-    D = IncidenceStructure(len(class_elems), blocks)
+    D = IncidenceStructure._trusted(len(table), blocks.astype(np.int64))
     params = validate_1design(D)
     if params.k != len(base_block):
         raise InternalInconsistency("block size changed along the orbit")
@@ -210,8 +225,7 @@ def method2_design(G: PermGroup, M: PermGroup, g: Permutation) -> Method2Design:
         G=G,
         M=M,
         g=g,
-        class_elems=class_elems,
-        index_of=index_of,
+        class_table=ElementTable(table),
         class_images=class_images,
         base_block=base_block,
         block_images=block_images,

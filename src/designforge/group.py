@@ -15,16 +15,27 @@ with the given points.  The group's own chain certifies its order, so the
 rebuild stops as soon as its transversal lengths multiply to that order
 (Schreier-Sims with a known order; Seress, Permutation Group Algorithms,
 2003, section 4.5).  Pointwise stabilizers off the group's base and the
-automorphism search's known group are rebuilt this way.
+automorphism search's known group are rebuilt this way, and so is the
+stabilizer schreier_stabilizer grows to the order orbit-stabilizer gives it.
 
-Many elements at once go through numpy: ElementTable holds permutations as
-the rows of an int array and conjugates them together, RowIndex finds rows
-by a hashed key checked in full, and orbit_minima labels the orbits of
-permutations given as arrays: PermGroup's orbits on points all read it.
+Orbits are tables of rows: orbit_with_transversal runs Sims's orbit
+algorithm one breadth-first level at a time, acting on the whole frontier
+with each generator in one numpy step (conjugation_action on image rows,
+index_set_action on sorted index tuples, or a row-by-row function), and
+names new rows in the order the one-element-at-a-time loop would.  A class
+orbit is one uint8 array up to degree 256 (uint16 or int64 above), which
+ElementTable wraps as a sequence of Permutations without copying.
+
+Many elements at once go through numpy: ElementTable conjugates its rows
+together, RowIndex finds rows by a hashed key checked in full, and
+orbit_minima labels the orbits of permutations given as arrays:
+PermGroup's orbits on points all read it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cached_property
 from random import Random
 
 import numpy as np
@@ -179,6 +190,18 @@ class _Chain:
                 x = trans[p] * x
         return x
 
+    def is_least_in_coset(self, u, x) -> bool:
+        """Whether u is the least element of the right coset Hx. It moves x
+        level by level as least_in_coset does, and stops at the first level
+        whose least base image differs from u's."""
+        for b, trans in zip(self.base, self.transversals):
+            p = min(trans, key=x.images.__getitem__)
+            if x.images[p] != u.images[b]:
+                return False
+            if p != b:
+                x = trans[p] * x
+        return x == u
+
     def order(self):
         n = 1
         for trans in self.transversals:
@@ -317,45 +340,96 @@ def _pr_mix(state, rng):
 # Group actions
 
 
-def index_set_action(gens, tables):
-    """Action on sorted tuples of indices for the generators gens, each
-    mapping index i to entry i of its table in tables: its images on points,
-    or its column of the tables orbit_with_transversal returns."""
-    columns = dict(zip(gens, tables))
+def row_dtype(bound: int):
+    """The narrowest unsigned dtype of the orbit rows holding values in
+    range(bound): uint8 up to 256, uint16 up to 65536, else int64."""
+    if bound <= 1 << 8:
+        return np.uint8
+    if bound <= 1 << 16:
+        return np.uint16
+    return np.int64
 
-    def apply(value, x, xinv):
-        return tuple(sorted(map(columns[x].__getitem__, value)))
+
+def conjugation_action(G: PermGroup):
+    """Action of G's generators by conjugation on permutations given as their
+    image rows: row x goes to x^g = g^-1 x g, the row gs[x[ginv]]."""
+    dtype = row_dtype(G.degree)
+    gens = [np.array(g.images, dtype=dtype) for g in G.gens]
+    invs = [np.argsort(g) for g in gens]
+
+    def apply(rows, k):
+        return gens[k][rows[:, invs[k]]]
+
+    return apply
+
+
+def index_set_action(tables):
+    """Action on sorted rows of indices: generator k maps index i to entry i
+    of tables[k], its image tuple on points or its column of the tables
+    orbit_with_transversal returns."""
+    tables = [np.asarray(t) for t in tables]
+
+    def apply(rows, k):
+        return np.sort(tables[k][rows], axis=1)
 
     return apply
 
 
 def orbit_with_transversal(G: PermGroup, value, action, cap=DEFAULT_ORBIT_CAP):
-    """Orbit of value under G, with generator images.
+    """Orbit of the row value under G, with generator images.
 
-    action(value, g, ginv) is the image of value under a generator g of G,
-    given with its inverse: Permutation.conjugate for conjugation, or
-    index_set_action for sorted tuples.
+    action(rows, k) gives the images of a 2-D int array of orbit rows under
+    the generator G.gens[k], one row each: conjugation_action for
+    permutations, index_set_action for sorted tuples, or any function that
+    maps the rows one by one.
 
-    Returns (orbit list in discovery order, dict value -> its orbit index,
-    and one tuple per generator of G holding the orbit index of each orbit
-    element's image under that generator). The tables hold the transversal:
-    schreier_stabilizer rebuilds its entries from them when it needs them.
+    Sims's orbit algorithm, one breadth-first level at a time: each
+    generator acts on the whole frontier at once, and the images are
+    scanned in (row, generator) order, each named by its bytes in a dict
+    that lives only for the call, so that new elements get their indices in
+    the order of the scalar loop that takes one element and one generator
+    at a time (tests/oracles.py). On the 56 672-element class of the M23
+    design of the stab command that loop took 0.40 s and this takes
+    0.043 s (in-process, best of 3, 2-core Xeon VM).
+
+    Returns (the orbit as a 2-D array, row i its element of index i, in the
+    dtype the action's images come in; and one int array per generator of G
+    holding the orbit index of each orbit element's image under that
+    generator). The tables hold the transversal: schreier_stabilizer rebuilds
+    its entries from them when it needs them.
     """
-    gens = [(g, g.inverse()) for g in G.gens]
-    index = {value: 0}
-    images = [[] for _ in gens]
-    queue = [value]
-    for v in queue:
-        for (g, ginv), col in zip(gens, images):
-            img = action(v, g, ginv)
-            j = index.get(img)
-            if j is None:
-                if len(queue) >= cap:
-                    raise OrbitOverflow("orbit exceeds cap %d" % cap)
-                j = index[img] = len(queue)
-                queue.append(img)
-            col.append(j)
-    return queue, index, [tuple(col) for col in images]
+    ngens = len(G.gens)
+    frontier = np.asarray(value)[None, :]
+    if not ngens:
+        return frontier, []
+    index, levels, cols = {}, [], []
+    setdefault = index.setdefault
+    while len(frontier):
+        imgs = np.stack([action(frontier, k) for k in range(ngens)], axis=1)
+        if not levels:
+            frontier = frontier.astype(imgs.dtype)
+            index[frontier.tobytes()] = 0
+        levels.append(frontier)
+        imgs = imgs.reshape(-1, frontier.shape[1])
+        known = len(index)
+        found = np.array([setdefault(key, len(index)) for key in _row_keys(imgs)])
+        if len(index) > cap:
+            raise OrbitOverflow("orbit exceeds cap %d" % cap)
+        cols.append(found.reshape(-1, ngens))
+        # a new element's first image is where its index exceeds every
+        # index scanned before it
+        before = np.maximum.accumulate(np.concatenate(([known - 1], found[:-1])))
+        frontier = imgs[found > before]
+    images = np.ascontiguousarray(np.concatenate(cols).T, dtype=row_dtype(len(index)))
+    return np.concatenate(levels), list(images)
+
+
+def _row_keys(rows):
+    """The bytes of each row of a 2-D array."""
+    if not rows.shape[1]:
+        return [b""] * len(rows)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 def lex_rank(rows):
@@ -373,9 +447,11 @@ def lex_rank(rows):
 
 class RowIndex:
     """The rows of a 2-D int array, found by a 64-bit key: a fixed random
-    linear form of the row, wrapping modulo 2**64. A row found by its key
-    is compared in full, so that keys which collide cost another probe,
-    never a wrong answer.
+    linear form of the row's bytes read as 64-bit words (zero-padded),
+    wrapping modulo 2**64, so that a uint8 row of 23 entries takes three
+    products and an int64 row one per entry. A row found by its key is
+    compared in full, so that keys which collide cost another probe, never
+    a wrong answer.
 
     Exact keys, one np.void item of big-endian words per row as lex_rank
     ranks them, need no weights and no probe loop, but sort and search
@@ -384,17 +460,18 @@ class RowIndex:
     casestudies._dual_block_imprimitivity 18.6 ms instead of 12.0 ms."""
 
     def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=np.int64)
-        rng = Random(0)  # not numpy.random, whose import costs about 6 MiB
-        self.weights = np.array([rng.getrandbits(62) for _ in range(self.rows.shape[1])])
-        keys = self.rows @ self.weights
+        self.rows = np.asarray(rows)
+        words = _words(self.rows)
+        # not numpy.random, whose import costs about 6 MiB
+        self.weights = np.frombuffer(Random(0).randbytes(8 * words.shape[1]), dtype=np.uint64).copy()
+        keys = words @ self.weights
         self.order = np.argsort(keys)
         self.keys = keys[self.order]
 
     def find(self, rows):
         """The table index of each given row, -1 where it is not a row."""
-        rows = np.asarray(rows, dtype=np.int64)
-        keys = rows @ self.weights
+        rows = np.asarray(rows).reshape(-1, self.rows.shape[1])
+        keys = _words(rows.astype(self.rows.dtype, copy=False)) @ self.weights
         out = np.full(len(rows), -1, dtype=np.int64)
         todo = np.argsort(keys)  # sorted queries search faster
         pos = np.searchsorted(self.keys, keys[todo])
@@ -410,20 +487,42 @@ class RowIndex:
         return out
 
 
+def _words(rows):
+    """The bytes of each row of a 2-D array as uint64 words, the last one
+    zero-padded."""
+    rows = np.ascontiguousarray(rows)
+    n, width = len(rows), rows.shape[1] * rows.itemsize
+    words = -(-width // 8)
+    if width % 8:
+        padded = np.zeros((n, 8 * words), np.uint8)
+        padded[:, :width] = rows.view(np.uint8).reshape(n, width)
+        rows = padded
+    return rows.view(np.uint64).reshape(n, words)
+
+
 class ElementTable:
     """Permutations of one degree as the rows of an int array, so that many
-    of them are conjugated and looked up at once."""
+    of them are conjugated and looked up at once; a sequence of
+    Permutations, each built when it is read."""
 
-    def __init__(self, elems):
-        if elems[0].degree <= 256:
-            # bytes() packs each image tuple in one call: on the 12 320 rows
-            # of the (22,3) Mathieu row a median of 5.5-5.8 ms, against
-            # 13.8-14.0 ms for np.array (2-core Xeon VM)
-            table = np.frombuffer(b"".join([bytes(g.images) for g in elems]), dtype=np.uint8)
-            self.images = table.reshape(len(elems), -1).astype(np.int64)
-        else:
-            self.images = np.array([g.images for g in elems], dtype=np.int64)
-        self.index = RowIndex(self.images)
+    def __init__(self, images):
+        self.images = images
+
+    @cached_property
+    def index(self) -> "RowIndex":
+        """A RowIndex over the rows, built on first use."""
+        return RowIndex(self.images)
+
+    def __len__(self):
+        return len(self.images)
+
+    def __getitem__(self, i) -> Permutation:
+        return Permutation._trusted(tuple(self.images[i].tolist()))
+
+    def find(self, perms):
+        """The table index of each given permutation, -1 where it is not in
+        the table."""
+        return self.index.find([p.images for p in perms])
 
     def conjugate_indices(self, x: Permutation, xinv: Permutation, points):
         """Table indices of the conjugates by x of the elements at the given
@@ -431,8 +530,31 @@ class ElementTable:
         the table."""
         if x.degree != self.images.shape[1]:
             raise ValueError("degree mismatch: %d ^ %d" % (self.images.shape[1], x.degree))
-        xs, xi = np.array(x.images), np.array(xinv.images)
+        xs, xi = np.array(x.images, dtype=self.images.dtype), np.array(xinv.images)
         return self.index.find(xs[self.images[points][:, xi]])
+
+
+class TablePositions(Mapping):
+    """The index of each permutation of an ElementTable, as a read-only
+    mapping from Permutation to int that looks up through the table's
+    RowIndex."""
+
+    def __init__(self, table: ElementTable):
+        self.table = table
+
+    def __getitem__(self, perm):
+        if not isinstance(perm, Permutation) or perm.degree != self.table.images.shape[1]:
+            raise KeyError(perm)
+        i = int(self.table.find([perm])[0])
+        if i < 0:
+            raise KeyError(perm)
+        return i
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
 
 
 def orbit_minima(images, n: int):
@@ -454,55 +576,121 @@ def orbit_minima(images, n: int):
         least = new
 
 
-def orbit_with_stabilizer(G: PermGroup, value, action):
-    """Orbit and stabilizer under action(value, g, ginv); |orbit| * |stab| =
-    |G| always holds."""
-    orbit, _, images = orbit_with_transversal(G, value, action)
+def orbit_with_stabilizer(G: PermGroup, value, action, on_orbit=False):
+    """The orbit of the row value under action, as orbit_with_transversal
+    returns it, and its stabilizer; |orbit| * |stab| = |G| always holds.
+    With on_orbit, also the stabilizer's generators acting on the orbit, as
+    schreier_stabilizer gives them."""
+    orbit, images = orbit_with_transversal(G, value, action)
+    if on_orbit:
+        return (orbit, *schreier_stabilizer(G, orbit, images, on_orbit=True))
     return orbit, schreier_stabilizer(G, orbit, images)
 
 
-def schreier_stabilizer(G: PermGroup, orbit, images, root=0) -> PermGroup:
+def schreier_stabilizer(G: PermGroup, orbit, images, root=0, on_orbit=False):
     """Stabilizer of orbit[root], from the generator tables of its orbit as
     orbit_with_transversal returns them.
 
-    A breadth-first search from root over the tables makes the transversal
-    entry u g of an orbit element when it first reaches it along g from an
-    element with entry u (the Schreier tree of Sims's orbit algorithm). Each
-    edge v -g-> w it meets again gives the Schreier generator u_v g u_w^-1,
-    and one group is extended by these until the orbit-stabilizer identity
-    certifies it complete: its order is |G| / |orbit|.
+    It is extended by the Schreier generators of a _SchreierTree, in the
+    order its search meets them, until the orbit-stabilizer identity
+    certifies it complete: its order is |G| / |orbit|. Schreier-Sims stops
+    there too, as in PermGroup.rebased.
+
+    With on_orbit it returns (the stabilizer, each of its generators as a
+    permutation of the orbit: an int array, entry i the index of orbit[i]'s
+    image), composed from the tables along the tree instead of looked up.
     """
     target = G.order() // len(orbit)
     if target * len(orbit) != G.order():
         raise AssertionError("orbit size does not divide group order")
     stab = PermGroup([], G.degree)
-    trans = {root: G.identity()}
-    queue = [root]
-    for v in queue:
-        u = trans[v]
-        for g, col in zip(G.gens, images):
-            if stab.order() == target:
-                return stab
-            w = col[v]
-            uw = trans.get(w)
-            if uw is None:
-                trans[w] = u * g
-                queue.append(w)
-            else:
-                stab.extend(u * g * uw.inverse())
-    if stab.order() != target:
-        raise AssertionError("Schreier generation did not reach stabilizer order")
+    chain = stab.chain
+    chain._target = target
+    tree = _SchreierTree(G, images, root)
+    edges = tree.revisits()
+    kept = []
+    while chain.order() < target:
+        edge = next(edges, None)
+        if edge is None:
+            raise AssertionError("Schreier generation did not reach stabilizer order")
+        if stab.extend(tree.generator(*edge)):
+            kept.append(edge)
+    chain._target = None
+    if on_orbit:
+        return stab, [tree.orbit_generator(*edge) for edge in kept]
     return stab
+
+
+class _SchreierTree:
+    """The Schreier tree of Sims's orbit algorithm, grown by a breadth-first
+    search from root over the generator tables of an orbit.
+
+    The search reaches each orbit element first along an edge v -k-> w,
+    which gives w the transversal entry u_w = u_v g_k. Each edge it meets
+    again gives the Schreier generator u_v g_k u_w^-1. An entry is
+    multiplied out only when a Schreier generator needs it, along its tree
+    path: most elements the search reaches never need theirs."""
+
+    def __init__(self, G: PermGroup, images, root):
+        self.gens, self.images, self.root = G.gens, images, root
+        self.parent = {root: None}  # orbit index -> (tree parent, generator index)
+        self.entries = {root: G.identity()}
+        self.orbit_entries = {}
+
+    def revisits(self):
+        """(v, k, w) for each edge v -k-> w that reaches an element already
+        in the tree, in the order of the search."""
+        queue = [self.root]
+        for v in queue:
+            for k, col in enumerate(self.images):
+                w = col.item(v)
+                if w not in self.parent:
+                    self.parent[w] = (v, k)
+                    queue.append(w)
+                else:
+                    yield v, k, w
+
+    def _grow(self, w, known, step):
+        """known[w], grown by step along the tree path from an element in
+        known."""
+        path = []
+        while w not in known:
+            path.append(w)
+            w = self.parent[w][0]
+        u = known[w]
+        for w in reversed(path):
+            u = known[w] = step(u, self.parent[w][1])
+        return u
+
+    def _times(self, u, k):
+        return u * self.gens[k]
+
+    def _then(self, p, k):
+        return self.images[k][p]
+
+    def generator(self, v, k, w) -> Permutation:
+        """The Schreier generator u_v g_k u_w^-1 of the edge v -k-> w."""
+        uv, uw = self._grow(v, self.entries, self._times), self._grow(w, self.entries, self._times)
+        return uv * self.gens[k] * uw.inverse()
+
+    def orbit_generator(self, v, k, w):
+        """The same generator as a permutation of the orbit's indices."""
+        self.orbit_entries.setdefault(self.root, np.arange(len(self.images[0])))
+        uv, uw = self._grow(v, self.orbit_entries, self._then), self._grow(w, self.orbit_entries, self._then)
+        inv = np.empty_like(uw)
+        inv[uw] = np.arange(len(uw))
+        return inv[self.images[k][uv]]
 
 
 def centralizer(G: PermGroup, g: Permutation) -> PermGroup:
     """C_G(g), the stabilizer of g under conjugation."""
-    _, stab = orbit_with_stabilizer(G, g, Permutation.conjugate)
+    _, stab = orbit_with_stabilizer(G, g.images, conjugation_action(G))
     return stab
 
 
-def conjugacy_class(G: PermGroup, g: Permutation):
-    return orbit_with_transversal(G, g, Permutation.conjugate)[0]
+def conjugacy_class(G: PermGroup, g: Permutation) -> ElementTable:
+    """The class of g in G, in orbit order."""
+    return ElementTable(orbit_with_transversal(G, g.images, conjugation_action(G))[0])
 
 
 def element_of_order(G: PermGroup, m: int, fixed_points=None, seed=0, budget=4000):
@@ -585,15 +773,16 @@ def _cells(labels):
 
 def find_imprimitivity(images, alpha: int, candidates):
     """First candidate point whose merge with alpha yields a nontrivial
-    invariant partition, with that partition; None if all are trivial. The
-    group is generated by permutations of range(n) given as int arrays."""
+    invariant partition, with that partition as the least point of each
+    point's cell (an int array); None if all are trivial. The group is
+    generated by permutations of range(n) given as int arrays."""
     n = len(images[0])
     for delta in candidates:
         if delta == alpha:
             continue
         labels = _block_labels(images, alpha, delta)
         if 1 < np.count_nonzero(labels == np.arange(n)) < n:
-            return delta, _cells(labels)
+            return delta, labels
     return None
 
 

@@ -15,7 +15,7 @@ from designforge.errors import (
     OrbitOverflow,
     PartitionViolation,
 )
-from designforge.group import PermGroup, index_set_action, normalizing_map_check
+from designforge.group import PermGroup, conjugation_action, index_set_action, normalizing_map_check
 from designforge.perm import Permutation
 
 
@@ -333,22 +333,62 @@ def set_image(value, g, ginv):
     return tuple(sorted(g.images[i] for i in value))
 
 
+SCALAR_ACTIONS = {"point": point_image, "set": set_image, "conj": Permutation.conjugate}
+
+
 def named_action(G, kind):
-    """The action of G's generators on points, sorted point tuples or
-    permutations (by conjugation), by the name 'point', 'set' or 'conj'."""
+    """The action of G's generators on rows of points, sorted point tuples or
+    permutations (by conjugation), by the name 'point', 'set' or 'conj', as
+    orbit_with_transversal takes it."""
+    if kind == "conj":
+        return conjugation_action(G)
+    return index_set_action([g.images for g in G.gens])
+
+
+def named_row(kind, value):
+    """A point, sorted point tuple or permutation as an orbit row."""
     if kind == "point":
-        return point_image
-    if kind == "set":
-        return index_set_action(G.gens, [g.images for g in G.gens])
-    return Permutation.conjugate
+        return (value,)
+    return value.images if kind == "conj" else value
+
+
+def row_value(kind, row):
+    """An orbit row, given as a list, back as the value named_row took."""
+    if kind == "point":
+        return row[0]
+    return Permutation(row) if kind == "conj" else tuple(row)
+
+
+# -- the scalar orbit loop, the reference for group.orbit_with_transversal
+
+
+def scalar_orbit(G, value, action):
+    """Sims's orbit algorithm one element and one generator at a time:
+    action(value, g, ginv) is the image of a value under a generator g of G.
+    Returns (orbit list in discovery order, dict value -> its orbit index,
+    and one tuple per generator of G holding the orbit index of each orbit
+    element's image under that generator)."""
+    gens = [(g, g.inverse()) for g in G.gens]
+    index = {value: 0}
+    images = [[] for _ in gens]
+    queue = [value]
+    for v in queue:
+        for (g, ginv), col in zip(gens, images):
+            img = action(v, g, ginv)
+            j = index.get(img)
+            if j is None:
+                j = index[img] = len(queue)
+                queue.append(img)
+            col.append(j)
+    return queue, index, [tuple(col) for col in images]
 
 
 # -- orbits with a stored transversal, the reference for schreier_stabilizer
 
 
 def orbit_with_stored_transversal(G, value, action):
-    """The orbit of value as group.orbit_with_transversal finds it, with one
-    stored transversal entry per orbit element: returns (orbit, dict value ->
+    """The orbit of value as scalar_orbit finds it, with one stored
+    transversal entry per orbit element: returns (orbit, dict value ->
     u with value^u = that element, dict value -> orbit index, generator
     tables)."""
     gens = [(g, g.inverse()) for g in G.gens]
@@ -403,8 +443,9 @@ def block_orbit_bfs(design):
     """Method 2 block list and block transversal by the hand-written
     breadth-first search, conjugating every block element by every generator."""
     G = design.G
-    trans = {design.base_block: G.identity()}
-    queue = [design.base_block]
+    base_block = tuple(design.base_block.tolist())
+    trans = {base_block: G.identity()}
+    queue = [base_block]
     for blk in queue:
         rep = trans[blk]
         for x in G.gens:

@@ -43,7 +43,7 @@ from designforge.group import (
     orbit_with_stabilizer,
 )
 from designforge.perm import Permutation
-from oracles import incidence_lists, naive_closure, named_action, oracle_aut_order
+from oracles import incidence_lists, naive_closure, named_action, named_row, oracle_aut_order
 
 MATHIEU_KEYS = [(24, 2), (24, 3), (23, 2), (23, 3), (22, 2), (22, 3)]
 
@@ -450,7 +450,7 @@ def test_criterion_10(capsys):
                 value = tuple(sorted(rng.sample(range(G.degree), size)))
             else:
                 value = G.random_element(rng)
-            orbit, stab = orbit_with_stabilizer(G, value, named_action(G, kind))
+            orbit, stab = orbit_with_stabilizer(G, named_row(kind, value), named_action(G, kind))
             assert len(orbit) * stab.order() == G.order(), (getattr(G, "recipe", None), kind, value)
         # (b) membership vs brute-force closure on every pool group <= 5000
         for G in pool:

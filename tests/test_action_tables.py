@@ -2,6 +2,9 @@
 same block order, same generator images, same block stabilizers, same
 centralizers."""
 
+from random import Random
+
+import numpy as np
 import pytest
 
 from designforge.atlas import build_psl2, embed_pgl2
@@ -14,8 +17,10 @@ from oracles import (
     block_orbit_bfs,
     class_table_by_conjugation,
     conjugate_index_set,
+    image_indices,
     induced_dual_point_gens,
     orbit_with_stored_transversal,
+    scalar_orbit,
 )
 
 
@@ -51,8 +56,30 @@ def test_block_order_and_transversal_match_bfs(design):
         assert all(m.conjugate(u, uinv) in stab for m in M.gens)
 
 
+def test_class_views_match_scalar_orbit(design):
+    # class_elems, index_of and the table's conjugate lookups read the one
+    # orbit table; the scalar loop builds the class as Permutation objects
+    G = design.G
+    elems, index, tables = scalar_orbit(G, design.g, Permutation.conjugate)
+    assert len(design.class_elems) == len(elems)
+    assert [design.class_elems[i] for i in range(len(elems))] == elems
+    assert all(design.index_of[h] == i for h, i in index.items())
+    assert [tuple(col.tolist()) for col in design.class_images] == tables
+    swap = Permutation([1, 0] + list(range(2, G.degree)))
+    others = [h.conjugate(swap) for h in elems[:40]]
+    assert [h in design.index_of for h in others] == [h in index for h in others]
+    assert not all(h in index for h in others)
+    rng = Random(3)
+    points = np.arange(len(elems))
+    for x in (*G.gens, G.random_element(rng), Permutation(rng.sample(range(G.degree), G.degree))):
+        xinv = x.inverse()
+        old = image_indices(elems, index, Permutation.conjugate, x, xinv, points)
+        new = design.class_table.conjugate_indices(x, xinv, points)
+        assert new.tolist() == [-1 if j is None else j for j in old]
+
+
 def test_class_table_matches_conjugation(design):
-    assert design.class_images == class_table_by_conjugation(design)
+    assert [tuple(col.tolist()) for col in design.class_images] == class_table_by_conjugation(design)
 
 
 def test_block_table_matches_conjugation(design):
@@ -62,16 +89,17 @@ def test_block_table_matches_conjugation(design):
         tuple(index[conjugate_index_set(design, blk, g, g.inverse())] for blk in blocks)
         for g in design.G.gens
     ]
-    assert design.block_images == expected
-    assert [Permutation(col) for col in design.block_images] == induced_dual_point_gens(design)
+    assert [tuple(col.tolist()) for col in design.block_images] == expected
+    assert [Permutation(col.tolist()) for col in design.block_images] == induced_dual_point_gens(design)
 
 
 def test_index_set_action_reads_generator_tables(design):
-    act = index_set_action(design.G.gens, design.class_images)
-    for x in design.G.gens:
+    act = index_set_action(design.class_images)
+    for k, x in enumerate(design.G.gens):
         xinv = x.inverse()
-        for blk in design.design.blocks[:5]:
-            assert act(blk, x, xinv) == conjugate_index_set(design, blk, x, xinv)
+        images = act(design.design.rows[:5], k)
+        for blk, img in zip(design.design.blocks[:5], images.tolist()):
+            assert tuple(img) == conjugate_index_set(design, blk, x, xinv)
 
 
 def test_induced_point_perm_matches_conjugation(design):

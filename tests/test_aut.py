@@ -112,6 +112,8 @@ def test_known_group_gives_oracle_orders():
             res = aut_group(D, known=known)
             assert res.complete and res.order == expected, D.blocks
             assert PermGroup(res.point_gens, D.v).order() == res.order
+            assert [j.tolist() for j in res.known_block_images] == [D.table.images(g).tolist() for g in known.gens]
+        assert aut_group(D).known_block_images == []
 
 
 def test_aut_respects_multiplicity():

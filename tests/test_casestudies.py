@@ -165,7 +165,7 @@ def test_seeded_search_takes_fewer_nodes(design_22_3):
     # on the (22,3) dual and on each of the 13 PSL(2,27) coset designs
     R = reduce_design(design_22_3.design, design_22_3.params)
     T = dual_design(R.quotient)
-    G_dual = PermGroup([Permutation(col) for col in design_22_3.block_images], T.v)
+    G_dual = PermGroup([Permutation(col.tolist()) for col in design_22_3.block_images], T.v)
     seeded, plain = aut_group(T, known=G_dual), aut_group(T)
     assert seeded.order == plain.order == 887040
     assert seeded.nodes < plain.nodes

@@ -4,6 +4,8 @@ from argparse import Namespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designforge import cli
 from designforge.casestudies import claim
@@ -246,6 +248,32 @@ def test_emit_collects_claims_inside_dataclasses(capsys):
     assert cli._emit(args, failing) == 4
     body = json.loads(capsys.readouterr().out)
     assert body["rows"][1] == {"n": 2, "claims": [claim("b", 1, 2)]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+))
+def test_dumps_matches_json(body):
+    # the report encoder writes what json.dumps(indent=2, sort_keys=True) does
+    assert cli._dumps(body, []) == json.dumps(body, indent=2, sort_keys=True)
+
+
+def test_dumps_converts_report_objects():
+    # dataclasses, tuples and keys that are not strings, as _jsonable
+    # converts them, and every claim under a "claims" key outside claims
+    @dataclasses.dataclass
+    class Row:
+        n: int
+        pair: tuple
+        claims: list
+
+    report = {"rows": [Row(1, (2, 3.5), [claim("a", {"claims": [0]}, 1)])], 7: (), "claims": [claim("b", 1, 1)]}
+    claims = []
+    assert cli._dumps(report, claims) == json.dumps(cli._jsonable(report), indent=2, sort_keys=True)
+    assert [c["claim"] for c in claims] == ["b", "a"]
 
 
 def test_emit_rejects_numpy_scalars(capsys):

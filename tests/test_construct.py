@@ -32,6 +32,7 @@ from oracles import (
     coset_fixed_points_by_sifting,
     faithfulness_check,
     induced_perm_by_normalizer_scan,
+    scalar_orbit,
 )
 
 
@@ -156,6 +157,38 @@ def test_coset_points_match_sifting_and_normalizer_scan(pair, outer):
 
 def _a9_pgammal():
     return build_alternating(9), build_pgammal2(8)
+
+
+def _psl25_pgl5():
+    return build_psl2(25), embed_pgl2(5, "squared")
+
+
+@pytest.mark.parametrize("pair", [_psl27_normalizer, _a5_c5, _a9_pgammal, _psl25_pgl5, _a6_second_s4])
+def test_coset_orbit_matches_scalar_loop(pair):
+    # the row-by-row coset action through the frontier orbit names the
+    # cosets in the scalar loop's order, with the same generator tables
+    G, M = pair()
+    ca = coset_action(G, M)
+    least = ca.subgroup.chain.least_in_coset
+    orbit, index, tables = scalar_orbit(G, least(G.identity()), lambda v, g, ginv: least(v * g))
+    assert list(ca.index_of) == orbit
+    assert list(ca.index_of.values()) == list(range(len(orbit)))
+    assert [g.images for g in ca.group.gens] == tables
+
+
+def test_coset_fixed_points_stop_early_psl25():
+    # the 65 cosets of PGL(2,5) in PSL(2,25): the level-by-level test
+    # against both fixed-point oracles, for members of G and outsiders
+    G, M = _psl25_pgl5()
+    ca = coset_action(G, M)
+    rng = Random(11)
+    n = G.degree
+    elems = list(G.gens) + list(M.gens) + [G.random_element(rng) for _ in range(10)]
+    others = [Permutation(rng.sample(range(n), n)) for _ in range(3)]
+    counts = [ca.fixed_point_count(g) for g in elems + others]
+    assert counts == [coset_fixed_points_by_sifting(ca, g) for g in elems + others]
+    assert counts[:6] == [coset_fixed_points_by_conjugation(ca, g) for g in elems[:6]]
+    assert max(counts) > 0
 
 
 def _a6_borel():
@@ -287,7 +320,7 @@ def test_method2_point_stabilizer_base_block_matches_sift(build, build_parent, p
     M = point_stabilizer_subgroup(G if build_parent is None else build_parent(), pt)
     g = element_of_order(M, order, fixed_points=fixed)
     design = method2_design(G, M, g)
-    assert design.base_block == tuple(i for i, h in enumerate(design.class_elems) if h in M)
+    assert design.base_block.tolist() == [i for i, h in enumerate(design.class_elems) if h in M]
 
 
 def test_perm_char_point_stabilizer():

@@ -24,13 +24,17 @@ from designforge.group import (
 )
 from designforge.perm import Permutation, parse_cycle_string
 from oracles import (
+    SCALAR_ACTIONS,
     bfs_orbit,
     block_system_by_union_find,
     bfs_orbits,
     naive_closure,
     named_action,
+    named_row,
     orbit_with_stored_transversal,
     point_image,
+    row_value,
+    scalar_orbit,
     set_image,
     stored_schreier_stabilizer,
 )
@@ -226,19 +230,20 @@ def test_random_element_is_member_and_deterministic():
 
 def test_orbit_with_transversal_maps_base():
     G = sym(5)
-    orbit, index, images = orbit_with_transversal(G, 0, point_image)
+    rows, images = orbit_with_transversal(G, (0,), named_action(G, "point"))
+    orbit = rows[:, 0].tolist()
     assert sorted(orbit) == list(range(5))
-    assert [index[pt] for pt in orbit] == list(range(5))
+    index = {pt: i for i, pt in enumerate(orbit)}
     ref_orbit, trans, ref_index, ref_images = orbit_with_stored_transversal(G, 0, point_image)
-    assert (orbit, index, images) == (ref_orbit, ref_index, ref_images)
+    assert (orbit, index, [tuple(col.tolist()) for col in images]) == (ref_orbit, ref_index, ref_images)
     for pt, u in trans.items():
         assert u.images[0] == pt
-    assert images == [tuple(index[g.images[pt]] for pt in orbit) for g in G.gens]
+    assert [col.tolist() for col in images] == [[index[g.images[pt]] for pt in orbit] for g in G.gens]
 
 
 def test_orbit_stabilizer_identity_point_action():
     G = sym(6)
-    orbit, stab = orbit_with_stabilizer(G, 3, point_image)
+    orbit, stab = orbit_with_stabilizer(G, (3,), named_action(G, "point"))
     assert len(orbit) * stab.order() == G.order()
     assert all(g.images[3] == 3 for g in stab.gens)
 
@@ -268,7 +273,7 @@ def test_orbit_stabilizer_product_identity(data):
         value = tuple(sorted(data.draw(st.permutations(list(range(n))))[:size]))
     else:
         value = data.draw(st.sampled_from(gens))
-    orbit, stab = orbit_with_stabilizer(G, value, named_action(G, kind))
+    orbit, stab = orbit_with_stabilizer(G, named_row(kind, value), named_action(G, kind))
     assert len(orbit) * stab.order() == G.order()
 
 
@@ -292,15 +297,27 @@ def test_schreier_stabilizer_root_0_matches_stored_transversal():
     # entries and Schreier generators in the same order: the same generators
     groups = [cyclic(12), dihedral(10), sym(5), sym(6), build_alternating(6), build_psl2(7), build_psl2(9)]
     for G, kind, value in stabilizer_cases(groups, 1729, 6):
-        action = named_action(G, kind)
-        orbit, index, images = orbit_with_transversal(G, value, action)
-        ref_orbit, trans, _, ref_images = orbit_with_stored_transversal(G, value, action)
-        assert (orbit, images) == (ref_orbit, ref_images)
+        orbit, images = orbit_with_transversal(G, named_row(kind, value), named_action(G, kind))
+        ref_orbit, trans, _, ref_images = orbit_with_stored_transversal(G, value, SCALAR_ACTIONS[kind])
+        assert [row_value(kind, row) for row in orbit.tolist()] == ref_orbit
+        assert [tuple(col.tolist()) for col in images] == ref_images
         expected = stored_schreier_stabilizer(G, ref_orbit, trans, ref_images)
         assert schreier_stabilizer(G, orbit, images).gens == expected.gens, (kind, value)
 
 
-SAME_ACTION = {"point": point_image, "set": set_image, "conj": Permutation.conjugate}
+def test_stabilizer_on_orbit_matches_acting():
+    # the stabilizer's generators as orbit permutations, composed from the
+    # tables along the Schreier tree, against each generator acting on
+    # every orbit element
+    groups = [cyclic(12), dihedral(10), sym(5), build_alternating(6), build_psl2(7), build_psl2(9)]
+    for G, kind, value in stabilizer_cases(groups, 99, 6):
+        orbit, stab, on_orbit = orbit_with_stabilizer(G, named_row(kind, value), named_action(G, kind), on_orbit=True)
+        assert stab.gens == orbit_with_stabilizer(G, named_row(kind, value), named_action(G, kind))[1].gens
+        ref_orbit, ref_index, _ = scalar_orbit(G, value, SCALAR_ACTIONS[kind])
+        assert len(on_orbit) == len(stab.gens)
+        for s, perm in zip(stab.gens, on_orbit):
+            sinv = s.inverse()
+            assert perm.tolist() == [ref_index[SCALAR_ACTIONS[kind](v, s, sinv)] for v in ref_orbit], (kind, value)
 
 
 def test_schreier_stabilizer_every_root_matches_closure():
@@ -309,12 +326,54 @@ def test_schreier_stabilizer_every_root_matches_closure():
     groups = [dihedral(10), sym(4), build_alternating(5), build_psl2(7), sym(6)]
     for G, kind, value in stabilizer_cases(groups, 7, 4):
         elems = naive_closure(G.gens, G.degree)
-        act = SAME_ACTION[kind]
-        orbit, _, images = orbit_with_transversal(G, value, named_action(G, kind))
-        for j, v in enumerate(orbit):
+        act = SCALAR_ACTIONS[kind]
+        orbit, images = orbit_with_transversal(G, named_row(kind, value), named_action(G, kind))
+        for j, v in enumerate(row_value(kind, row) for row in orbit.tolist()):
             fixing = {x for x in elems if act(v, x, x.inverse()) == v}
             stab = schreier_stabilizer(G, orbit, images, root=j)
             assert set(stab.elements()) == fixing, (kind, value, j)
+
+
+def _orbit_cases(seed):
+    """(G, kind, value) triples for the orbit property test: points, sorted
+    tuples and permutations under conjugation, the last also on groups of
+    degree above 256, whose rows are uint16."""
+    rng = Random(seed)
+    small = [cyclic(12), dihedral(10), sym(5), sym(6), build_alternating(6), build_psl2(7), build_psl2(9), build_psl2(27)]
+    for G in small:
+        for kind in ("point", "set", "conj"):
+            for _ in range(3):
+                yield G, kind, _draw(rng, G, kind)
+    for G in (dihedral(300), dihedral(257)):
+        for kind in ("point", "set", "conj", "conj"):
+            yield G, kind, _draw(rng, G, kind)
+
+
+def _draw(rng, G, kind):
+    if kind == "point":
+        return rng.randrange(G.degree)
+    if kind == "set":
+        return tuple(sorted(rng.sample(range(G.degree), rng.randrange(1, min(G.degree, 6) + 1))))
+    return G.random_element(rng)
+
+
+def test_frontier_orbit_matches_scalar_loop():
+    # the level-by-level orbit names its elements in the scalar loop's order
+    # and gives the same generator tables
+    seen = set()
+    for G, kind, value in _orbit_cases(2015):
+        rows, images = orbit_with_transversal(G, named_row(kind, value), named_action(G, kind))
+        ref_orbit, _, ref_images = scalar_orbit(G, value, SCALAR_ACTIONS[kind])
+        assert [row_value(kind, row) for row in rows.tolist()] == ref_orbit, (kind, value)
+        assert [tuple(col.tolist()) for col in images] == ref_images, (kind, value)
+        if kind == "conj":
+            seen.add(rows.dtype)
+    assert seen == {np.dtype(np.uint8), np.dtype(np.uint16)}
+
+
+def test_frontier_orbit_of_trivial_group():
+    rows, images = orbit_with_transversal(PermGroup([], 4), (2,), named_action(PermGroup([], 4), "point"))
+    assert rows.tolist() == [[2]] and images == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,13 +384,14 @@ def test_index_set_action_matches_set_image(data):
     n = data.draw(st.integers(1, 8))
     k = data.draw(st.integers(1, 3))
     gens = [Permutation(data.draw(st.permutations(list(range(n))))) for _ in range(k)]
-    action = index_set_action(gens, [g.images for g in gens])
+    action = index_set_action([g.images for g in gens])
     for _ in range(5):
         size = data.draw(st.integers(0, n))
         value = tuple(sorted(data.draw(st.permutations(list(range(n))))[:size]))
-        for g in gens:
+        for k, g in enumerate(gens):
             ginv = g.inverse()
-            assert action(value, g, ginv) == set_image(value, g, ginv)
+            row = action(np.array([value], dtype=np.int64).reshape(1, size), k)[0]
+            assert tuple(row.tolist()) == set_image(value, g, ginv)
 
 
 def test_centralizer_and_class():
@@ -443,8 +503,8 @@ def test_minimal_block_system_cyclic():
 
 def test_find_imprimitivity():
     G = cyclic(6)
-    delta, cells = find_imprimitivity([np.array(g.images) for g in G.gens], 0, [3])
-    assert delta == 3 and len(cells) == 3
+    delta, labels = find_imprimitivity([np.array(g.images) for g in G.gens], 0, [3])
+    assert delta == 3 and labels.tolist() == [0, 1, 2, 0, 1, 2]
     # the natural S5 action is primitive
     assert find_imprimitivity([np.array(g.images) for g in sym(5).gens], 0, range(1, 5)) is None
 

@@ -28,7 +28,7 @@ from designforge.group import (
     element_of_order,
     lex_rank,
     orbit_minima,
-    orbit_with_transversal,
+    row_dtype,
 )
 from designforge.perm import Permutation
 
@@ -39,6 +39,7 @@ from oracles import (
     image_indices,
     is_automorphism_by_multiset,
     refine_structured,
+    scalar_orbit,
 )
 
 RAGGED = IncidenceStructure(
@@ -169,11 +170,25 @@ def test_row_index_finds_exactly(tables, collide):
             assert j == -1
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([np.uint8, np.uint16]), st.integers(1, 11), st.data())
+def test_row_index_narrow_rows_find_exactly(dtype, width, data):
+    # rows whose bytes are no whole number of 64-bit words are keyed with a
+    # zero-padded last word; a query out of the dtype's range is no row
+    values = st.integers(0, 3) | st.integers(0, np.iinfo(dtype).max)
+    table = data.draw(arrays(dtype, (data.draw(st.integers(1, 30)), width), elements=values))
+    queries = data.draw(arrays(np.int64, (data.draw(st.integers(0, 10)), width), elements=values | st.integers(0, 70000)))
+    found = RowIndex(table).find(np.vstack([queries, table]))
+    rows = [tuple(r) for r in table.tolist()]
+    for row, j in zip(np.vstack([queries, table]).tolist(), found.tolist()):
+        assert (rows[j] == tuple(row)) if j >= 0 else (tuple(row) not in rows)
+
+
 def test_conjugate_indices_match_image_indices():
     G = build_psl2(9)
-    elems, index, _ = orbit_with_transversal(G, element_of_order(G, 3), Permutation.conjugate)
+    elems, index, _ = scalar_orbit(G, element_of_order(G, 3), Permutation.conjugate)
     conjugators = list(G.gens) + [G.gens[0] * G.gens[1]]
-    table = ElementTable(elems)
+    table = ElementTable(np.array([h.images for h in elems], dtype=row_dtype(G.degree)))
     rng = Random(5)
     n = elems[0].degree
     points = np.arange(len(elems))
@@ -189,14 +204,15 @@ def test_conjugate_indices_match_image_indices():
 
 
 def test_element_table_degree_300_matches_image_indices():
-    # above degree 256 the table packs its rows with np.array, not bytes()
+    # above degree 256 the rows are uint16, not uint8
     rng = Random(7)
     n = 300
     gens = [Permutation(rng.sample(range(n), n)) for _ in range(2)]
     elems = [Permutation(range(n))] + gens + [gens[0] * gens[1], gens[1] * gens[0]]
     index = {h: i for i, h in enumerate(elems)}
-    table = ElementTable(elems)
-    assert table.images.tolist() == [list(h.images) for h in elems]
+    table = ElementTable(np.array([h.images for h in elems], dtype=row_dtype(n)))
+    assert table.images.dtype == np.uint16
+    assert list(table) == elems
     points = np.arange(len(elems))
     found = []
     for x in gens + [gens[0] * gens[1], Permutation(rng.sample(range(n), n))]:

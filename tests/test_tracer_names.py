@@ -13,7 +13,7 @@ from designforge.atlas import build_psl2, point_stabilizer_subgroup
 from designforge.autsearch import aut_group
 from designforge.construct import method2_design
 from designforge.design import IncidenceStructure
-from designforge.group import element_of_order, orbit_with_transversal
+from designforge.group import element_of_order, index_set_action, orbit_with_transversal
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PATCHED_CLASSES = {"PermGroup": "group", "Permutation": "perm"}
@@ -89,7 +89,7 @@ def test_traced_result_shapes():
     # the tracer's after-hooks read len(orbit_with_transversal(...)[0]),
     # aut_group(...).nodes against its budget, and method2_design(...).design.b
     G = build_psl2(5)
-    res = orbit_with_transversal(G, 0, lambda v, g, ginv: g.images[v])
+    res = orbit_with_transversal(G, (0,), index_set_action([g.images for g in G.gens]))
     assert len(res[0]) == G.degree
     aut = aut_group(IncidenceStructure(4, [(0, 1), (2, 3), (0, 2), (1, 3)]), budget=100)
     assert isinstance(aut.nodes, int) and 0 < aut.nodes <= 100
