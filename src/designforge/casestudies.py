@@ -41,14 +41,17 @@ from .design import (
 )
 from .group import (
     PermGroup,
+    conjugation_action,
     element_of_order,
     find_imprimitivity,
     index_set_action,
     normalizing_map_check,
     orbit_minima,
     orbit_with_stabilizer,
+    orbit_with_transversal,
     schreier_stabilizer,
     subgroup_closure,
+    transversal,
 )
 from .perm import Permutation
 
@@ -122,39 +125,26 @@ def _block_intersection_group(design: Method2Design):
     return None, "not computed", None
 
 
-def _conjugators(S: PermGroup, x: Permutation):
-    """x^S, each element y with an element u of S such that x^u = y, by a
-    breadth-first search that conjugates by S's generators."""
-    found = {x: S.identity()}
-    queue = [x]
-    for y in queue:
-        for s in S.gens:
-            z = y.conjugate(s)
-            if z not in found:
-                found[z] = found[y] * s
-                queue.append(z)
-    return found
-
-
 def class_stabilizer_report(design: Method2Design, compute_h: bool = True) -> StabReport:
     """The identities for x, the class element at point 0. C_G(y) for the
-    other points y of I_x is C_G(x)^u, u an element of S_x carrying x to y,
-    when x^{S_x} reaches y, and its own Schreier stabilizer otherwise."""
+    other points y of I_x is C_G(x)^u, u the transversal entry of y in the
+    orbit x^{S_x}; a point of I_x that this orbit misses fails orbit_is_class
+    and adds no generators to H_x."""
     G = design.G
     R = reduce_design(design.design, design.params)
     i_class = R.class_points(0)  # sorted, so it starts at 0
     _, S = orbit_with_stabilizer(G, i_class, index_set_action(design.class_images))
     C = design.point_centralizers([0])[0]
     c_in_s = all(g in S for g in C.gens)
-    x = design.class_elems[0]
-    conjugators = _conjugators(S, x)
-    members = [design.class_elems[i] for i in i_class]
+    xorbit, tables = orbit_with_transversal(S, design.class_table.images[0], conjugation_action(S))
+    where = {y: w for w, y in enumerate(map(tuple, xorbit.tolist()))}
+    reached = [where.get(y) for y in map(tuple, design.class_table.images[i_class].tolist())]
     report = StabReport(
         i_size=len(i_class),
         centralizer_order=C.order(),
         s_order=S.order(),
         product_ok=S.order() == C.order() * len(i_class),
-        orbit_is_class=set(conjugators) == set(members),
+        orbit_is_class=len(xorbit) == len(i_class) and None not in reached,
         centralizer_contained=c_in_s,
     )
     A, strategy, meet = _block_intersection_group(design)
@@ -163,10 +153,8 @@ def class_stabilizer_report(design: Method2Design, compute_h: bool = True) -> St
         report.a_order = A.order()
         report.class_meet_ok = meet.tolist() == i_class
     if compute_h:
-        h_gens = list(C.gens)
-        for i, y in zip(i_class[1:], members[1:]):
-            u = conjugators.get(y)
-            h_gens += [h.conjugate(u) for h in C.gens] if u is not None else design.point_centralizers([i])[0].gens
+        conjugators = transversal(S, tables, [w for w in reached[1:] if w is not None])
+        h_gens = list(C.gens) + [h.conjugate(u) for u in conjugators for h in C.gens]
         H = subgroup_closure(G, h_gens)
         report.h_order = H.order()
         report.h_normal = all(normalizing_map_check(H, s) for s in S.gens)
@@ -282,7 +270,7 @@ def run_mathieu_row(
         block_stab_order=stab.order(),
         block_transitive=len(orb) == tparams.b,
     )
-    if R.class_size == 2:
+    if R.class_size == 2 and row.block_transitive:
         # the stabilizer's generators on the dual blocks, relabelled from
         # orbit indices to block numbers
         blocks = orb[:, 0].astype(np.int64)
@@ -425,18 +413,17 @@ def run_psl_family(q: int):
                     )
                 )
                 x_idx = 0  # g
-                # g^-1 is looked for first in the class of g, where it lies
-                # whenever the claims below pass
+                # g^-1 is looked for in the intersection class of g only:
+                # where it is not there, inv_idx is None and the claims
+                # below fail
                 ginv = g.inverse()
                 inv_idx = next((i for i in i_class if design.class_elems[i] == ginv), None)
-                if inv_idx is None:
-                    inv_idx = design.index_of[ginv]
                 if dp.lam > 1:
                     # the intersection class of x is {x, x^-1}
                     rec.claims.append(
                         claim(
                             "intersection-class-is-inverse-pair",
-                            sorted({x_idx, inv_idx}),
+                            [x_idx, inv_idx],  # x_idx = 0 and g^-1 != g
                             i_class,
                         )
                     )

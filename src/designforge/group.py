@@ -621,6 +621,17 @@ def schreier_stabilizer(G: PermGroup, orbit, images, root=0, on_orbit=False):
     return stab
 
 
+def transversal(G: PermGroup, images, points, root=0):
+    """The transversal entry u_w of each orbit index w in points: the element
+    of G, a product of its generators along the Schreier tree grown from
+    root over the generator tables of an orbit, that carries orbit[root] to
+    orbit[w]."""
+    tree = _SchreierTree(G, images, root)
+    for _ in tree.revisits():  # grow the whole tree
+        pass
+    return [tree.entry(w) for w in points]
+
+
 class _SchreierTree:
     """The Schreier tree of Sims's orbit algorithm, grown by a breadth-first
     search from root over the generator tables of an orbit.
@@ -668,10 +679,13 @@ class _SchreierTree:
     def _then(self, p, k):
         return self.images[k][p]
 
+    def entry(self, w) -> Permutation:
+        """The transversal entry u_w of an element the search has reached."""
+        return self._grow(w, self.entries, self._times)
+
     def generator(self, v, k, w) -> Permutation:
         """The Schreier generator u_v g_k u_w^-1 of the edge v -k-> w."""
-        uv, uw = self._grow(v, self.entries, self._times), self._grow(w, self.entries, self._times)
-        return uv * self.gens[k] * uw.inverse()
+        return self.entry(v) * self.gens[k] * self.entry(w).inverse()
 
     def orbit_generator(self, v, k, w):
         """The same generator as a permutation of the orbit's indices."""

@@ -1,5 +1,6 @@
 """Independent test oracles, kept free of the package's search machinery."""
 
+import dataclasses
 from itertools import combinations, permutations
 from math import comb
 from random import Random
@@ -577,3 +578,18 @@ def refine_structured(search, pcolor, bcolor):
         ncp, ncb = len(up), len(ub)
     inv = hash((ncp, ncb, up.tobytes(), ub.tobytes()))
     return pcolor, bcolor, inv
+
+
+# -- report conversion, the reference for cli._dumps
+
+
+def jsonable(obj):
+    """A report as json.dumps takes it: dataclasses as dicts of their fields,
+    tuples as lists, dict keys as str."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    return obj

@@ -11,6 +11,7 @@ from designforge import cli
 from designforge.casestudies import claim
 from designforge.cli import main
 from designforge.design import read_design
+from oracles import jsonable
 
 
 def run(capsys, *argv):
@@ -262,7 +263,7 @@ def test_dumps_matches_json(body):
 
 
 def test_dumps_converts_report_objects():
-    # dataclasses, tuples and keys that are not strings, as _jsonable
+    # dataclasses, tuples and keys that are not strings, as oracles.jsonable
     # converts them, and every claim under a "claims" key outside claims
     @dataclasses.dataclass
     class Row:
@@ -272,7 +273,7 @@ def test_dumps_converts_report_objects():
 
     report = {"rows": [Row(1, (2, 3.5), [claim("a", {"claims": [0]}, 1)])], 7: (), "claims": [claim("b", 1, 1)]}
     claims = []
-    assert cli._dumps(report, claims) == json.dumps(cli._jsonable(report), indent=2, sort_keys=True)
+    assert cli._dumps(report, claims) == json.dumps(jsonable(report), indent=2, sort_keys=True)
     assert [c["claim"] for c in claims] == ["b", "a"]
 
 

@@ -21,6 +21,7 @@ from designforge.group import (
     orbit_with_transversal,
     schreier_stabilizer,
     subgroup_closure,
+    transversal,
 )
 from designforge.perm import Permutation, parse_cycle_string
 from oracles import (
@@ -318,6 +319,22 @@ def test_stabilizer_on_orbit_matches_acting():
         for s, perm in zip(stab.gens, on_orbit):
             sinv = s.inverse()
             assert perm.tolist() == [ref_index[SCALAR_ACTIONS[kind](v, s, sinv)] for v in ref_orbit], (kind, value)
+
+
+def test_transversal_matches_stored_transversal():
+    # the entries read off the tables along the Schreier tree are the ones
+    # the scalar loop stores, and from any root each carries the root to
+    # its element
+    groups = [cyclic(12), dihedral(10), sym(5), build_alternating(6), build_psl2(7), build_psl2(9)]
+    rng = Random(5)
+    for G, kind, value in stabilizer_cases(groups, 31, 6):
+        act = SCALAR_ACTIONS[kind]
+        orbit, images = orbit_with_transversal(G, named_row(kind, value), named_action(G, kind))
+        ref_orbit, trans, _, _ = orbit_with_stored_transversal(G, value, act)
+        assert transversal(G, images, range(len(orbit))) == [trans[v] for v in ref_orbit], (kind, value)
+        root = rng.randrange(len(orbit))
+        for v, u in zip(ref_orbit, transversal(G, images, range(len(orbit)), root=root)):
+            assert act(ref_orbit[root], u, u.inverse()) == v, (kind, value, root)
 
 
 def test_schreier_stabilizer_every_root_matches_closure():
