@@ -324,8 +324,9 @@ def verify_kernel_quotient(D: IncidenceStructure, R: ReducedStructure, budget: i
 
 def lift_test_method1(design, pi: Permutation) -> bool:
     """Whether pi, the point map a normalizing map induces on a
-    stabilizer-orbit design (its `induced_point_perm`, None when the points
-    are not preserved), permutes the design's blocks."""
+    stabilizer-orbit design, permutes the design's blocks. On the natural
+    domain pi is the map itself; on cosets it is the coset action's
+    `induced_perm`, None when the points are not preserved."""
     return pi is not None and is_design_automorphism(design.design, pi)
 
 

@@ -66,10 +66,6 @@ def claim(name, expected, observed):
     }
 
 
-def all_pass(claims) -> bool:
-    return all(c["pass"] for c in claims)
-
-
 # -- the stabilizer identity suite -------------------------------------------
 
 
@@ -105,7 +101,7 @@ def _block_intersection_group(design: Method2Design):
     conjugates, so A_x ∩ x^G lies in the base block.
     """
     G, M = design.G, design.M
-    x = design.class_elems[0]
+    x = design.class_table[0]
     pt = _stabilized_point(G, M)
     if pt is not None:
         orbit = set(G.orbit(pt))
@@ -417,7 +413,7 @@ def run_psl_family(q: int):
                 # where it is not there, inv_idx is None and the claims
                 # below fail
                 ginv = g.inverse()
-                inv_idx = next((i for i in i_class if design.class_elems[i] == ginv), None)
+                inv_idx = next((i for i in i_class if design.class_table[i] == ginv), None)
                 if dp.lam > 1:
                     # the intersection class of x is {x, x^-1}
                     rec.claims.append(
@@ -508,7 +504,7 @@ def run_coset_orbit_family(aut_budget: int = 10**6, sample: int = None):
         ],
     }
     designs = [
-        method1_design(ca.group, 0, orbit_size=13, orbit_index=i, coset=ca)
+        method1_design(ca.group, 0, orbit_size=13, orbit_index=i)
         for i in range(13)
     ]
     picked = range(13) if sample is None else list(range(13))[:sample]
@@ -556,12 +552,12 @@ def run_small_designs(aut_budget: int = 10**6, stretch_budget: int = 0):
             claim("design-parameters", (6, 6, 5, 5), (D1.params.v, D1.params.b, D1.params.k, D1.params.lam)),
             claim("aut-order", 720, a1.order),
             claim("transposition-normalizes", True, normalizing_map_check(A6, transposition)),
-            claim("transposition-lifts", True, lift_test_method1(D1, D1.induced_point_perm(transposition))),
+            claim("transposition-lifts", True, lift_test_method1(D1, transposition)),
         ],
     }
     A6b, S4 = _a6_second_s4()
     ca = coset_action(A6b, S4)
-    D2 = method1_design(ca.group, 0, orbit_size=8, coset=ca)
+    D2 = method1_design(ca.group, 0, orbit_size=8)
     a2 = aut_group(D2.design, aut_budget, known=ca.group)
     out["cosets15"] = {
         "params": D2.params,
@@ -577,7 +573,7 @@ def run_small_designs(aut_budget: int = 10**6, stretch_budget: int = 0):
     if not all(g in A9 for g in L.gens):
         raise AssertionError("semilinear group does not embed")
     ca9 = coset_action(A9, L)
-    D3 = method1_design(ca9.group, 0, orbit_size=56, coset=ca9)
+    D3 = method1_design(ca9.group, 0, orbit_size=56)
     rec = {
         "params": D3.params,
         "claims": [

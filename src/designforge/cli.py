@@ -51,12 +51,12 @@ EXIT_INCONSISTENT = 4
 def _dumps(obj, claims, indent=""):
     """json.dumps(obj, indent=2, sort_keys=True) of a report, with its
     dataclasses as dicts of their fields, tuples as lists and dict keys as
-    str, in one pass that also appends to claims every claim under a
-    "claims" key. json's indented encoder is a chain of Python generators:
-    on the psl2 --q 3,5 report, conversion and encoding took 2.6-3.2 ms
-    that way and 1.1 ms this way (2-core Xeon VM). Floats and anything else
-    that is not a container or an exact str, int, bool or None go to
-    json.dumps, which rejects what it cannot encode."""
+    str, in one pass that also appends to claims every claim in a list
+    under a "claims" key. json's indented encoder is a chain of Python
+    generators: on the psl2 --q 3,5 report, conversion and encoding took
+    2.6-3.2 ms that way and 1.1 ms this way (2-core Xeon VM). Floats and
+    anything else that is not a container or an exact str, int, bool or
+    None go to json.dumps, which rejects what it cannot encode."""
     kind = type(obj)
     if kind is str:
         return _quote(obj)
@@ -80,7 +80,7 @@ def _dumps(obj, claims, indent=""):
         return json.dumps(obj)
     if not obj:
         return "{}"
-    if "claims" in obj:
+    if isinstance(obj.get("claims"), list):
         claims.extend(obj["claims"])
     inner = indent + "  "
     items = ["%s: %s" % (_quote(k), _dumps(obj[k], [] if k == "claims" else claims, inner)) for k in sorted(obj)]
@@ -201,7 +201,7 @@ def cmd_reduce(args):
         {
             "command": "reduce",
             "class_size": R.class_size,
-            "classes": len(R.classes),
+            "classes": R.quotient.v,
             "params": R.params,
             "claims": [],
         },

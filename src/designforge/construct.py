@@ -5,7 +5,6 @@ and conjugacy-class blocks cut out by maximal-subgroup conjugates
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -14,7 +13,6 @@ from .errors import InternalInconsistency
 from .group import (
     ElementTable,
     PermGroup,
-    TablePositions,
     conjugation_action,
     index_set_action,
     orbit_with_transversal,
@@ -65,9 +63,8 @@ class CosetAction:
 
     def fixed_point_count(self, g: Permutation) -> int:
         """1_M^G(g): the number of cosets Mu that g fixes, i.e. with Mug = Mu,
-        u the least element of its coset."""
-        is_least = self.subgroup.chain.is_least_in_coset
-        return sum(is_least(u, u * g) for u in self.index_of)
+        u the least element of its coset, each asked through point."""
+        return sum(self.point(u * g) == i for u, i in self.index_of.items())
 
 
 def coset_action(G: PermGroup, M: PermGroup) -> CosetAction:
@@ -96,14 +93,6 @@ class Method1Design:
     G: PermGroup  # the acting group, in the representation carrying the design
     alpha: int
     delta: tuple
-    coset: CosetAction = None  # set when the action was coset-realized
-
-    def induced_point_perm(self, phi: Permutation):
-        """Point map induced by a normalizing permutation of the natural
-        domain; None if it does not preserve the point set."""
-        if self.coset is None:
-            return phi
-        return self.coset.induced_perm(phi)
 
 
 def method1_design(
@@ -111,7 +100,6 @@ def method1_design(
     alpha: int = 0,
     orbit_size: int = None,
     orbit_index: int = 0,
-    coset: CosetAction = None,
 ) -> Method1Design:
     """Blocks are the G-translates of a chosen nontrivial G_alpha-orbit."""
     if not 0 <= alpha < G.degree:
@@ -136,7 +124,7 @@ def method1_design(
     params = validate_1design(D)
     if (params.k, params.lam) != (len(delta), len(delta)):
         raise InternalInconsistency("parameters disagree with the construction")
-    return Method1Design(design=D, params=params, G=G, alpha=alpha, delta=delta, coset=coset)
+    return Method1Design(design=D, params=params, G=G, alpha=alpha, delta=delta)
 
 
 # -- Method 2 ---------------------------------------------------------------
@@ -153,16 +141,6 @@ class Method2Design:
     class_images: list  # per generator of G: class index -> index of its conjugate
     base_block: np.ndarray  # the class indices of the elements in M
     block_images: list  # per generator of G: block index -> index of its image
-
-    @property
-    def class_elems(self) -> ElementTable:
-        """The class elements in orbit order, each read from the table."""
-        return self.class_table
-
-    @cached_property
-    def index_of(self) -> TablePositions:
-        """Class element -> its index, looked up in the table."""
-        return TablePositions(self.class_table)
 
     def induced_point_perm(self, phi: Permutation):
         """Point map induced by conjugation by phi; None if the class is not

@@ -38,9 +38,6 @@ class DesignParams:
         """Replication number; equals lam for t = 1."""
         return self.b * self.k // self.v
 
-    def as_tuple(self):
-        return (self.t, self.v, self.k, self.lam)
-
 
 class IncidenceStructure:
     """Points 0..v-1 and b blocks, held as rows (see above). A block may
@@ -214,22 +211,12 @@ class ReducedStructure:
     class_size: int
     params: DesignParams
 
-    @property
-    def trivial(self):
-        return self.class_size == 1
-
     @cached_property
     def classes(self) -> list:
-        """Sorted point tuples partitioning [0, v), built on first use: the
-        28 336 of the (23,3) Mathieu row and class_of took 6.3 ms to build
-        and 1.2 ms to free (2-core Xeon VM), and most callers need neither."""
+        """Sorted point tuples partitioning [0, v), built on first use, since
+        most callers read only labels or class_points."""
         # tuples straight from the columns, with no list per class to collect
         return list(zip(*np.argsort(self.labels, kind="stable").reshape(-1, self.class_size).T.tolist()))
-
-    @cached_property
-    def class_of(self) -> list:
-        """Point -> class index, as a list built on first use."""
-        return self.labels.tolist()
 
     def class_points(self, x: int) -> list:
         """The points of x's class, sorted."""
@@ -310,6 +297,10 @@ def read_design(path):
         params = list(rows.pop(0))
     if len(rows) != b:
         raise ValueError("expected %d blocks, found %d" % (b, len(rows)))
+    # checked before anything of length v is allocated
+    incidences = sum(map(len, rows))
+    if v > incidences:
+        raise ValueError("%d points but only %d incidences: some point lies on no block" % (v, incidences))
     D = IncidenceStructure(v, rows)
     dp = None
     if params is not None:

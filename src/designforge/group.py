@@ -34,7 +34,6 @@ PermGroup's orbits on points all read it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import cached_property
 from random import Random
 
@@ -189,18 +188,6 @@ class _Chain:
             if p != b:
                 x = trans[p] * x
         return x
-
-    def is_least_in_coset(self, u, x) -> bool:
-        """Whether u is the least element of the right coset Hx. It moves x
-        level by level as least_in_coset does, and stops at the first level
-        whose least base image differs from u's."""
-        for b, trans in zip(self.base, self.transversals):
-            p = min(trans, key=x.images.__getitem__)
-            if x.images[p] != u.images[b]:
-                return False
-            if p != b:
-                x = trans[p] * x
-        return x == u
 
     def order(self):
         n = 1
@@ -532,29 +519,6 @@ class ElementTable:
             raise ValueError("degree mismatch: %d ^ %d" % (self.images.shape[1], x.degree))
         xs, xi = np.array(x.images, dtype=self.images.dtype), np.array(xinv.images)
         return self.index.find(xs[self.images[points][:, xi]])
-
-
-class TablePositions(Mapping):
-    """The index of each permutation of an ElementTable, as a read-only
-    mapping from Permutation to int that looks up through the table's
-    RowIndex."""
-
-    def __init__(self, table: ElementTable):
-        self.table = table
-
-    def __getitem__(self, perm):
-        if not isinstance(perm, Permutation) or perm.degree != self.table.images.shape[1]:
-            raise KeyError(perm)
-        i = int(self.table.find([perm])[0])
-        if i < 0:
-            raise KeyError(perm)
-        return i
-
-    def __iter__(self):
-        return iter(self.table)
-
-    def __len__(self):
-        return len(self.table)
 
 
 def orbit_minima(images, n: int):

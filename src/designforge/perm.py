@@ -99,10 +99,6 @@ class Permutation:
             xinv = x.inverse()
         return Permutation._trusted(_take(x.images, _take(self.images, xinv.images)))
 
-    def commutes_with(self, other: "Permutation") -> bool:
-        s, o = self.images, other.images
-        return all(o[s[i]] == s[o[i]] for i in range(len(s)))
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
@@ -138,10 +134,6 @@ class Permutation:
 
     def fixed_points(self):
         return [i for i, j in enumerate(self.images) if i == j]
-
-    def cycle_type(self):
-        """Sorted tuple of cycle lengths, fixed points included."""
-        return tuple(sorted(len(c) for c in self.cycles(include_fixed=True)))
 
     def __repr__(self):
         return "Permutation(%r)" % (list(self.images),)

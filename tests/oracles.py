@@ -434,10 +434,18 @@ def image_indices(orbit, index, action, x, xinv, points):
     return [index.get(action(orbit[i], x, xinv)) for i in points]
 
 
-def conjugate_index_set(design, value, x, xinv):
-    """The sorted class-index tuple value, conjugated by x element by element."""
-    elems, idx = design.class_elems, design.index_of
-    return tuple(sorted(idx[elems[i].conjugate(x, xinv)] for i in value))
+def class_index(design):
+    """{class element: its index} of a Method 2 design, a dict of
+    Permutations read from its class table, not looked up through the
+    table's RowIndex."""
+    return {h: i for i, h in enumerate(design.class_table)}
+
+
+def conjugate_index_set(design, index, value, x, xinv):
+    """The sorted class-index tuple value, conjugated by x element by
+    element; index is the design's class_index."""
+    elems = design.class_table
+    return tuple(sorted(index[elems[i].conjugate(x, xinv)] for i in value))
 
 
 def block_orbit_bfs(design):
@@ -445,12 +453,13 @@ def block_orbit_bfs(design):
     breadth-first search, conjugating every block element by every generator."""
     G = design.G
     base_block = tuple(design.base_block.tolist())
+    index = class_index(design)
     trans = {base_block: G.identity()}
     queue = [base_block]
     for blk in queue:
         rep = trans[blk]
         for x in G.gens:
-            img = conjugate_index_set(design, blk, x, x.inverse())
+            img = conjugate_index_set(design, index, blk, x, x.inverse())
             if img not in trans:
                 trans[img] = rep * x
                 queue.append(img)
@@ -459,7 +468,7 @@ def block_orbit_bfs(design):
 
 def class_table_by_conjugation(design):
     """Per generator of G, the class index of each class element's conjugate."""
-    elems, idx = design.class_elems, design.index_of
+    elems, idx = design.class_table, class_index(design)
     out = []
     for g in design.G.gens:
         ginv = g.inverse()
@@ -471,10 +480,11 @@ def induced_dual_point_gens(design):
     """Permutations the generators of G induce on the dual points (the blocks
     of the class design, in block order), by conjugation."""
     index = {blk: j for j, blk in enumerate(design.design.blocks)}
+    cls = class_index(design)
     out = []
     for g in design.G.gens:
         ginv = g.inverse()
-        out.append(Permutation(index[conjugate_index_set(design, blk, g, ginv)]
+        out.append(Permutation(index[conjugate_index_set(design, cls, blk, g, ginv)]
                                for blk in design.design.blocks))
     return out
 

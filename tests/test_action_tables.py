@@ -15,6 +15,7 @@ from designforge.group import centralizer, element_of_order, index_set_action, s
 from designforge.perm import Permutation
 from oracles import (
     block_orbit_bfs,
+    class_index,
     class_table_by_conjugation,
     conjugate_index_set,
     image_indices,
@@ -57,17 +58,19 @@ def test_block_order_and_transversal_match_bfs(design):
 
 
 def test_class_views_match_scalar_orbit(design):
-    # class_elems, index_of and the table's conjugate lookups read the one
-    # orbit table; the scalar loop builds the class as Permutation objects
+    # the class table's elements, its lookups and its conjugate lookups
+    # read the one orbit table; the scalar loop builds the class as
+    # Permutation objects
     G = design.G
     elems, index, tables = scalar_orbit(G, design.g, Permutation.conjugate)
-    assert len(design.class_elems) == len(elems)
-    assert [design.class_elems[i] for i in range(len(elems))] == elems
-    assert all(design.index_of[h] == i for h, i in index.items())
+    assert len(design.class_table) == len(elems)
+    assert [design.class_table[i] for i in range(len(elems))] == elems
+    assert design.class_table.find(list(index)).tolist() == list(index.values())
+    assert class_index(design) == index
     assert [tuple(col.tolist()) for col in design.class_images] == tables
     swap = Permutation([1, 0] + list(range(2, G.degree)))
     others = [h.conjugate(swap) for h in elems[:40]]
-    assert [h in design.index_of for h in others] == [h in index for h in others]
+    assert (design.class_table.find(others) >= 0).tolist() == [h in index for h in others]
     assert not all(h in index for h in others)
     rng = Random(3)
     points = np.arange(len(elems))
@@ -83,10 +86,10 @@ def test_class_table_matches_conjugation(design):
 
 
 def test_block_table_matches_conjugation(design):
-    blocks = design.design.blocks
+    blocks, cls = design.design.blocks, class_index(design)
     index = {blk: j for j, blk in enumerate(blocks)}
     expected = [
-        tuple(index[conjugate_index_set(design, blk, g, g.inverse())] for blk in blocks)
+        tuple(index[conjugate_index_set(design, cls, blk, g, g.inverse())] for blk in blocks)
         for g in design.G.gens
     ]
     assert [tuple(col.tolist()) for col in design.block_images] == expected
@@ -94,16 +97,16 @@ def test_block_table_matches_conjugation(design):
 
 
 def test_index_set_action_reads_generator_tables(design):
-    act = index_set_action(design.class_images)
+    act, cls = index_set_action(design.class_images), class_index(design)
     for k, x in enumerate(design.G.gens):
         xinv = x.inverse()
         images = act(design.design.rows[:5], k)
         for blk, img in zip(design.design.blocks[:5], images.tolist()):
-            assert tuple(img) == conjugate_index_set(design, blk, x, xinv)
+            assert tuple(img) == conjugate_index_set(design, cls, blk, x, xinv)
 
 
 def test_induced_point_perm_matches_conjugation(design):
-    G, elems = design.G, design.class_elems
+    G, elems, cls = design.G, design.class_table, class_index(design)
     _, class_trans, _, _ = orbit_with_stored_transversal(G, elems[0], Permutation.conjugate)
     _, block_trans = block_orbit_bfs(design)
     u = class_trans[elems[-1]]
@@ -112,20 +115,20 @@ def test_induced_point_perm_matches_conjugation(design):
         xinv = x.inverse()
         pi = design.induced_point_perm(x)
         assert [(j,) for j in pi.images] == [
-            conjugate_index_set(design, (i,), x, xinv) for i in range(design.params.v)
+            conjugate_index_set(design, cls, (i,), x, xinv) for i in range(design.params.v)
         ]
     # a transposition normalizes neither PSL(2,9) nor M22: it leaves the class
     swap = Permutation([1, 0] + list(range(2, design.G.degree)))
-    assert any(h.conjugate(swap) not in design.index_of for h in design.class_elems)
+    assert (design.class_table.find([h.conjugate(swap) for h in elems]) < 0).any()
     assert design.induced_point_perm(swap) is None
 
 
 def test_point_centralizers_match_centralizer(design):
     R = reduce_design(design.design, design.params)
-    i_class = R.classes[R.class_of[0]]
+    i_class = R.class_points(0)
     cents = design.point_centralizers(i_class)
     for i, C in zip(i_class, cents):
-        y = design.class_elems[i]
+        y = design.class_table[i]
         assert C.order() == centralizer(design.G, y).order()
-        assert all(h.commutes_with(y) for h in C.gens)
+        assert all(h * y == y * h for h in C.gens)
 

@@ -105,7 +105,7 @@ def test_symmetric_and_alternating():
     assert build_symmetric(5).order() == 120
     A = build_alternating(6)
     assert A.order() == 360
-    assert all(sum(c - 1 for c in g.cycle_type()) % 2 == 0 for g in A.gens)
+    assert all(sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in A.gens)
 
 
 @pytest.mark.parametrize("n,order", [(22, 443520), (23, 10200960), (24, 244823040)])

@@ -199,7 +199,7 @@ def test_lift_method1_natural():
     dsn = method1_design(G)
     swap = Permutation([1, 0, 2, 3, 4, 5])
     assert normalizing_map_check(G, swap)
-    assert lift_test_method1(dsn, dsn.induced_point_perm(swap))
+    assert lift_test_method1(dsn, swap)
 
 
 def test_lift_method2():

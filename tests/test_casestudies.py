@@ -9,7 +9,6 @@ from designforge.atlas import (
 )
 from designforge.autsearch import aut_group
 from designforge.casestudies import (
-    all_pass,
     claim,
     class_stabilizer_report,
     mathieu_design,
@@ -20,7 +19,7 @@ from designforge.casestudies import (
     stab_claims,
 )
 from designforge.construct import coset_action, method1_design, method2_design
-from designforge.design import dual_design, reduce_design
+from designforge.design import DesignParams, dual_design, reduce_design
 from designforge.group import PermGroup, element_of_order
 from designforge.perm import Permutation
 
@@ -29,7 +28,6 @@ def test_claim_shape():
     c = claim("x", 1, 1)
     assert c["pass"] and c["claim"] == "x"
     assert not claim("y", 1, 2)["pass"]
-    assert all_pass([c]) and not all_pass([c, claim("y", 1, 2)])
 
 
 def test_psl_family_q3_all_claims_pass():
@@ -39,16 +37,16 @@ def test_psl_family_q3_all_claims_pass():
     assert len(records) == 6
     assert {r.variant for r in records} == {"squared", "non-squared"}
     for rec in records:
-        assert all_pass(rec.claims), [c for c in rec.claims if not c["pass"]]
+        assert all(c["pass"] for c in rec.claims), [c for c in rec.claims if not c["pass"]]
 
 
 def test_psl_family_q3_known_parameters():
     report = run_psl_family(3)
     by_kind = {r.kind: r for r in report["records"] if r.variant == "squared"}
     inv, unip, ss = by_kind["involution"], by_kind["unipotent"], by_kind["semisimple"]
-    assert inv.design_params.as_tuple() == (1, 45, 9, 3)
+    assert inv.design_params == DesignParams(1, 45, 15, 9, 3)
     assert inv.i_size == 3 and inv.s_order == 24
-    assert unip.design_params.as_tuple() == (1, 40, 8, 3)
+    assert unip.design_params == DesignParams(1, 40, 15, 8, 3)
     assert unip.i_size == 2 and unip.s_order == 18
     # the disputed remark is reported, never asserted
     assert unip.notes["claimed_borel_order"] == 36
@@ -56,9 +54,9 @@ def test_psl_family_q3_known_parameters():
     # order-4 semisimple class with replication 1: the intersection class
     # degenerates to a whole block
     assert ss.g_order == 4
-    assert ss.design_params.as_tuple() == (1, 90, 6, 1)
+    assert ss.design_params == DesignParams(1, 90, 15, 6, 1)
     assert ss.i_size == 6
-    assert ss.reduced_params.as_tuple() == (1, 15, 1, 1)
+    assert ss.reduced_params == DesignParams(1, 15, 15, 1, 1)
 
 
 def test_psl_family_variants_agree():
@@ -84,7 +82,7 @@ def test_stabilizer_report_psl29_involution():
     assert rep.a_strategy == "element-intersection"
     assert rep.a_order == 4
     assert rep.h_order == 24
-    assert all_pass(stab_claims(rep))
+    assert all(c["pass"] for c in stab_claims(rep))
 
 
 @pytest.mark.parametrize("order, a_order", [(2, 2), (5, 10)])
@@ -97,7 +95,7 @@ def test_stabilizer_report_point_stabilizer_recipe_of_other_group(order, a_order
     assert rep.a_strategy == "element-intersection"
     assert rep.a_order == a_order
     assert rep.class_meet_ok
-    assert all_pass(stab_claims(rep))
+    assert all(c["pass"] for c in stab_claims(rep))
 
 
 def test_stabilizer_report_intransitive_point_stabilizer():
@@ -109,7 +107,7 @@ def test_stabilizer_report_intransitive_point_stabilizer():
     rep = class_stabilizer_report(method2_design(G, M, Permutation.from_cycles(5, [(1, 2)])))
     assert rep.a_strategy == "pointwise-stabilizer"
     assert rep.a_order == M.order() == 4
-    assert all_pass(stab_claims(rep))
+    assert all(c["pass"] for c in stab_claims(rep))
 
 
 def test_stabilizer_report_point_stabilizer_strategy():
@@ -118,7 +116,7 @@ def test_stabilizer_report_point_stabilizer_strategy():
     dsn = method2_design(G, M, element_of_order(M, 2))
     rep = class_stabilizer_report(dsn)
     assert rep.a_strategy == "pointwise-stabilizer"
-    assert all_pass(stab_claims(rep))
+    assert all(c["pass"] for c in stab_claims(rep))
 
 
 def test_mathieu_design_rejects_unknown_row():
@@ -128,13 +126,13 @@ def test_mathieu_design_rejects_unknown_row():
 
 def test_mathieu_row_22_involution():
     row = run_mathieu_row(22, 2)
-    assert row.design_params.as_tuple() == (1, 1155, 315, 6)
+    assert row.design_params == DesignParams(1, 1155, 22, 315, 6)
     assert row.i_size == 15
     assert (row.dual_params.v, row.dual_params.b, row.dual_params.k) == (22, 77, 6)
     assert row.t == 3 and row.lambda_t == 1
     assert row.aut_complete and row.aut_order == 887040
     assert row.block_stab_order == 5760
-    assert all_pass(row.claims), [c for c in row.claims if not c["pass"]]
+    assert all(c["pass"] for c in row.claims), [c for c in row.claims if not c["pass"]]
 
 
 def test_mathieu_row_incomplete_budget_fallback():
@@ -142,7 +140,7 @@ def test_mathieu_row_incomplete_budget_fallback():
     assert not row.aut_complete
     names = {c["claim"] for c in row.claims}
     assert "group-embeds-in-dual-aut" in names
-    assert all_pass(row.claims), [c for c in row.claims if not c["pass"]]
+    assert all(c["pass"] for c in row.claims), [c for c in row.claims if not c["pass"]]
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +155,7 @@ def test_mathieu_row_22_order_three(design_22_3):
     assert row.aut_complete and row.aut_order == 887040
     assert row.block_stab_order == 72 and row.block_transitive
     assert row.imprimitivity_cells == 1540
-    assert all_pass(row.claims), [c for c in row.claims if not c["pass"]]
+    assert all(c["pass"] for c in row.claims), [c for c in row.claims if not c["pass"]]
 
 
 def test_seeded_search_takes_fewer_nodes(design_22_3):
@@ -172,7 +170,7 @@ def test_seeded_search_takes_fewer_nodes(design_22_3):
     G = build_psl2(27)
     ca = coset_action(G, normalizer_of_cyclic(G, element_of_order(G, 13)))
     for i in range(13):
-        D = method1_design(ca.group, 0, orbit_size=13, orbit_index=i, coset=ca).design
+        D = method1_design(ca.group, 0, orbit_size=13, orbit_index=i).design
         seeded, plain = aut_group(D, known=ca.group), aut_group(D)
         assert seeded.order == plain.order and seeded.nodes < plain.nodes
 
@@ -183,15 +181,15 @@ def test_coset_orbit_family_census():
     assert report["normalizer_order"] == 26
     assert report["frobenius_normalizes"]
     assert sum(report["frobenius_lifts"]) == 1
-    assert all_pass(report["claims"]), [c for c in report["claims"] if not c["pass"]]
+    assert all(c["pass"] for c in report["claims"]), [c for c in report["claims"] if not c["pass"]]
     assert len(report["aut_orders"]) == 2
 
 
 def test_small_designs():
     out = run_small_designs()
-    assert all_pass(out["natural"]["claims"])
-    assert all_pass(out["cosets15"]["claims"])
-    assert all_pass(out["cosets120"]["claims"])
+    assert all(c["pass"] for c in out["natural"]["claims"])
+    assert all(c["pass"] for c in out["cosets15"]["claims"])
+    assert all(c["pass"] for c in out["cosets120"]["claims"])
     assert out["natural"]["aut_order"] == 720
     assert out["cosets15"]["aut_order"] == 20160
     assert "aut_order" not in out["cosets120"]  # stretch not requested

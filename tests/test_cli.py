@@ -4,7 +4,7 @@ from argparse import Namespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from designforge import cli
@@ -196,6 +196,16 @@ def test_mathieu_text_prints_one_field_per_line(capsys):
     assert fields == sorted(fields) and len(fields) == len(set(fields))
 
 
+@pytest.mark.parametrize("command", ["dual", "tdesign", "reduce", "aut"])
+def test_header_with_more_points_than_incidences_is_input_error(command, tmp_path, capsys):
+    # a point count no block line can cover is rejected while the file is
+    # read, before anything of that length is allocated
+    path = tmp_path / "huge.design"
+    path.write_text("design 10000000000000 1\n0 1\n")
+    assert main([command, "--design", str(path)]) == 2
+    assert "incidences" in capsys.readouterr().err
+
+
 def test_params_line_contradicting_blocks_is_input_error(tmp_path, capsys):
     # a 1-(4,3,3) design declared as 1-(4,3,9)
     path = tmp_path / "bad.design"
@@ -257,8 +267,11 @@ def test_emit_collects_claims_inside_dataclasses(capsys):
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20,
 ))
+@example({"claims": None})
+@example({"claims": 3})
 def test_dumps_matches_json(body):
-    # the report encoder writes what json.dumps(indent=2, sort_keys=True) does
+    # the report encoder writes what json.dumps(indent=2, sort_keys=True)
+    # does, also where a "claims" value is not a list
     assert cli._dumps(body, []) == json.dumps(body, indent=2, sort_keys=True)
 
 

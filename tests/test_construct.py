@@ -23,6 +23,7 @@ from designforge.construct import (
     perm_char_value,
     stabilizer_orbits,
 )
+from designforge.design import DesignParams
 from designforge.group import PermGroup, centralizer, conjugacy_class, element_of_order, schreier_stabilizer
 from designforge.perm import Permutation, parse_cycle_string
 from oracles import (
@@ -47,7 +48,7 @@ def test_method1_natural_alternating():
     # A6 acting on 6 points: the point stabilizer is transitive on the rest
     G = build_alternating(6)
     M1 = method1_design(G)
-    assert M1.params.as_tuple() == (1, 6, 5, 5)
+    assert M1.params == DesignParams(1, 6, 6, 5, 5)
     assert M1.design.b == 6
     assert M1.delta == (1, 2, 3, 4, 5)
 
@@ -55,7 +56,7 @@ def test_method1_natural_alternating():
 def test_method1_orbit_selectors():
     G = build_psl2(9)
     M1 = method1_design(G, alpha=0, orbit_size=9)
-    assert M1.params.as_tuple() == (1, 10, 9, 9)
+    assert M1.params == DesignParams(1, 10, 10, 9, 9)
     with pytest.raises(ValueError):
         method1_design(G, orbit_size=4)
     with pytest.raises(ValueError):
@@ -176,9 +177,9 @@ def test_coset_orbit_matches_scalar_loop(pair):
     assert [g.images for g in ca.group.gens] == tables
 
 
-def test_coset_fixed_points_stop_early_psl25():
-    # the 65 cosets of PGL(2,5) in PSL(2,25): the level-by-level test
-    # against both fixed-point oracles, for members of G and outsiders
+def test_coset_fixed_points_match_oracles_psl25():
+    # the 65 cosets of PGL(2,5) in PSL(2,25): fixed cosets found by point
+    # lookups against both fixed-point oracles, for members of G and outsiders
     G, M = _psl25_pgl5()
     ca = coset_action(G, M)
     rng = Random(11)
@@ -243,7 +244,7 @@ def test_method2_basic_parameters():
     assert D2.design.b == G.order() // M.order()
     assert D2.params.lam == D2.params.b * D2.params.k // D2.params.v
     # base block = class elements lying inside M
-    assert all(D2.class_elems[i] in M for i in D2.base_block)
+    assert all(D2.class_table[i] in M for i in D2.base_block)
 
 
 def test_method2_rejects_bad_element():
@@ -284,7 +285,7 @@ def test_method2_induced_point_perm():
     pi = D2.induced_point_perm(x)
     assert pi is not None
     assert all(
-        D2.class_elems[pi.images[i]] == D2.class_elems[i].conjugate(x)
+        D2.class_table[pi.images[i]] == D2.class_table[i].conjugate(x)
         for i in range(D2.params.v)
     )
 
@@ -320,7 +321,7 @@ def test_method2_point_stabilizer_base_block_matches_sift(build, build_parent, p
     M = point_stabilizer_subgroup(G if build_parent is None else build_parent(), pt)
     g = element_of_order(M, order, fixed_points=fixed)
     design = method2_design(G, M, g)
-    assert design.base_block.tolist() == [i for i, h in enumerate(design.class_elems) if h in M]
+    assert design.base_block.tolist() == [i for i, h in enumerate(design.class_table) if h in M]
 
 
 def test_perm_char_point_stabilizer():

@@ -67,7 +67,7 @@ def test_multiplicity_tracking():
 
 def test_validate_1design_fano():
     params = validate_1design(FANO)
-    assert params.as_tuple() == (1, 7, 3, 3)
+    assert params == DesignParams(1, 7, 7, 3, 3)
     assert params.r == 3
 
 
@@ -116,7 +116,7 @@ def test_complete_design_lambdas():
 def test_dual_design_fano_is_self_dual_shape():
     dual = dual_design(FANO)
     assert (dual.v, dual.b) == (7, 7)
-    assert validate_1design(dual).as_tuple() == (1, 7, 3, 3)
+    assert validate_1design(dual) == DesignParams(1, 7, 7, 3, 3)
     assert dual_design(dual) == FANO
 
 
@@ -139,14 +139,13 @@ def test_reduce_design_pairs_into_classes():
     R = reduce_design(D)
     assert R.class_size == 2
     assert R.classes == [(0, 1), (2, 3), (4, 5)]
-    assert R.params.as_tuple() == (1, 3, 2, 4)
-    assert not R.trivial
-    assert all(R.class_of[p] == i for i, cls in enumerate(R.classes) for p in cls)
+    assert R.params == DesignParams(1, 3, 6, 2, 4)
+    assert all(R.labels[p] == i for i, cls in enumerate(R.classes) for p in cls)
 
 
 def test_reduce_design_trivial_when_classes_are_singletons():
     R = reduce_design(FANO)
-    assert R.trivial and R.quotient == FANO
+    assert R.class_size == 1 and R.quotient == FANO
 
 
 def test_reduce_design_partition_violation():
@@ -245,8 +244,8 @@ def _outcome(f, *args):
 
 def _reduced(D, params=None):
     R = reduce_design(D, params)
-    assert all(type(x) is int for x in R.class_of + [p for c in R.classes for p in c])
-    return R.classes, R.class_of, R.quotient.blocks, R.params
+    assert all(type(p) is int for c in R.classes for p in c)
+    return R.classes, R.labels.tolist(), R.quotient.blocks, R.params
 
 
 # error messages the random structures must meet

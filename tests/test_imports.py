@@ -1,7 +1,8 @@
 """Every module of the package, other than __init__.py, and the test
 oracles use each name they import; every underscore-named function or
-class is referenced somewhere in the package, and every oracle in some
-test module."""
+class is referenced somewhere in the package, every public one and every
+public method somewhere in the package or in perfbench/tracer.py, and
+every oracle in some test module."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "designforge"
 ORACLES = TESTS / "oracles.py"
+TRACER = TESTS.parent / "perfbench" / "tracer.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + [ORACLES]
 
 
@@ -55,6 +57,23 @@ def unreferenced_private(sources):
     return sorted(defined - referenced_names(trees))
 
 
+def unreferenced_public(sources, others):
+    """Public top-level functions and classes of the sources, and public
+    methods of their top-level classes, that no name, attribute or import in
+    the sources or the others refers to."""
+    trees = [ast.parse(src) for src in sources]
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, defs):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(item.name for item in node.body if isinstance(item, defs))
+    public = {name for name in defined if not name.startswith("_")}
+    return sorted(public - referenced_names(trees + [ast.parse(src) for src in others]))
+
+
 def unreferenced_top_level(source, others):
     """Top-level functions of source that no name, attribute or import in
     the other sources refers to."""
@@ -82,6 +101,20 @@ def test_unreferenced_private_are_found():
 def test_no_unreferenced_private():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private(sources) == []
+
+
+def test_unreferenced_public_are_found():
+    sources = [
+        "def a():\n    def inner(): pass\ndef b(): pass\ndef _c(): pass\n"
+        "class D:\n    def m(self): pass\n    def n(self): pass\n    def _p(self): pass\n",
+        "from x import a\nD().n()\n",
+    ]
+    assert unreferenced_public(sources, ["b()\n"]) == ["m"]
+
+
+def test_no_unreferenced_public():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_public(sources, [TRACER.read_text()]) == []
 
 
 def test_unreferenced_top_level_are_found():

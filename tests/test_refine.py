@@ -62,7 +62,7 @@ def _mathieu_22_3_dual():
 def _coset_378_design():
     G = build_psl2(27)
     ca = coset_action(G, normalizer_of_cyclic(G, element_of_order(G, 13)))
-    return method1_design(ca.group, 0, orbit_size=13, orbit_index=0, coset=ca).design
+    return method1_design(ca.group, 0, orbit_size=13, orbit_index=0).design
 
 
 DESIGNS = {
