@@ -102,10 +102,6 @@ def build_psl2(q: int) -> PermGroup:
     return _with_recipe(G, GroupRecipe("PSL(2,%d)" % q, "psl2", {"q": q}))
 
 
-def psl2_order(q: int) -> int:
-    return q * (q * q - 1) // gcd(2, q - 1)
-
-
 def embed_pgl2(q: int, variant: str = "squared") -> PermGroup:
     """A maximal PGL(2,q) inside PSL(2,q^2), acting on PG(1,q^2).
 

@@ -41,6 +41,7 @@ from .design import (
 )
 from .group import (
     PermGroup,
+    RowIndex,
     conjugation_action,
     element_of_order,
     find_imprimitivity,
@@ -133,14 +134,13 @@ def class_stabilizer_report(design: Method2Design, compute_h: bool = True) -> St
     C = design.point_centralizers([0])[0]
     c_in_s = all(g in S for g in C.gens)
     xorbit, tables = orbit_with_transversal(S, design.class_table.images[0], conjugation_action(S))
-    where = {y: w for w, y in enumerate(map(tuple, xorbit.tolist()))}
-    reached = [where.get(y) for y in map(tuple, design.class_table.images[i_class].tolist())]
+    reached = RowIndex(xorbit).find(design.class_table.images[i_class])
     report = StabReport(
         i_size=len(i_class),
         centralizer_order=C.order(),
         s_order=S.order(),
         product_ok=S.order() == C.order() * len(i_class),
-        orbit_is_class=len(xorbit) == len(i_class) and None not in reached,
+        orbit_is_class=len(xorbit) == len(i_class) and -1 not in reached,
         centralizer_contained=c_in_s,
     )
     A, strategy, meet = _block_intersection_group(design)
@@ -149,7 +149,7 @@ def class_stabilizer_report(design: Method2Design, compute_h: bool = True) -> St
         report.a_order = A.order()
         report.class_meet_ok = meet.tolist() == i_class
     if compute_h:
-        conjugators = transversal(S, tables, [w for w in reached[1:] if w is not None])
+        conjugators = transversal(S, tables, reached[reached > 0].tolist())
         h_gens = list(C.gens) + [h.conjugate(u) for u in conjugators for h in C.gens]
         H = subgroup_closure(G, h_gens)
         report.h_order = H.order()

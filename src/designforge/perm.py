@@ -206,15 +206,3 @@ def read_generator_file(path) -> tuple[int, list[Permutation]]:
     if degree is None:
         raise ValueError("empty generator file %s" % path)
     return degree, gens
-
-
-def write_generator_file(path, degree: int, gens, comments=()) -> None:
-    """Write generators in cycle notation; round-trips bit-exactly."""
-    with open(path, "w") as fh:
-        for c in comments:
-            fh.write("# %s\n" % c)
-        fh.write("degree %d\n" % degree)
-        for g in gens:
-            if g.degree != degree:
-                raise ValueError("generator degree mismatch")
-            fh.write("%s\n" % g)

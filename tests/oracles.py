@@ -293,8 +293,8 @@ def bfs_orbits(gens, degree):
 
 def block_system_by_union_find(gens, alpha, delta):
     """Finest gens-invariant partition merging alpha and delta, by a
-    union-find over point pairs: the reference for
-    group.minimal_block_system. Cells sorted, ordered by least element."""
+    union-find over point pairs: the reference for the label propagation
+    of group.find_imprimitivity. Cells sorted, ordered by least element."""
     n = gens[0].degree
     parent = list(range(n))
 
@@ -382,6 +382,12 @@ def scalar_orbit(G, value, action):
                 queue.append(img)
             col.append(j)
     return queue, index, [tuple(col) for col in images]
+
+
+def conjugacy_class(G, g):
+    """The class of g in G as Permutations, in the orbit order of
+    scalar_orbit under conjugation."""
+    return scalar_orbit(G, g, Permutation.conjugate)[0]
 
 
 # -- orbits with a stored transversal, the reference for schreier_stabilizer
@@ -603,3 +609,17 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     return obj
+
+
+# -- generator files
+
+
+def write_generator_file(path, degree, gens, comments=()):
+    """Generators in cycle notation, as perm.read_generator_file reads them
+    back bit-exactly."""
+    with open(path, "w") as fh:
+        for c in comments:
+            fh.write("# %s\n" % c)
+        fh.write("degree %d\n" % degree)
+        for g in gens:
+            fh.write("%s\n" % g)

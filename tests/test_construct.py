@@ -24,10 +24,11 @@ from designforge.construct import (
     stabilizer_orbits,
 )
 from designforge.design import DesignParams
-from designforge.group import PermGroup, centralizer, conjugacy_class, element_of_order, schreier_stabilizer
+from designforge.group import PermGroup, centralizer, element_of_order, schreier_stabilizer
 from designforge.perm import Permutation, parse_cycle_string
 from oracles import (
     block_orbit_bfs,
+    conjugacy_class,
     coset_action_by_conjugation,
     coset_fixed_points_by_conjugation,
     coset_fixed_points_by_sifting,

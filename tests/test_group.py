@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 import numpy as np
@@ -12,11 +12,9 @@ from designforge.group import (
     PermGroup,
     _Chain,
     centralizer,
-    conjugacy_class,
     element_of_order,
     find_imprimitivity,
     index_set_action,
-    minimal_block_system,
     orbit_with_stabilizer,
     orbit_with_transversal,
     schreier_stabilizer,
@@ -27,8 +25,9 @@ from designforge.perm import Permutation, parse_cycle_string
 from oracles import (
     SCALAR_ACTIONS,
     bfs_orbit,
-    block_system_by_union_find,
     bfs_orbits,
+    block_system_by_union_find,
+    conjugacy_class,
     naive_closure,
     named_action,
     named_row,
@@ -480,6 +479,26 @@ def test_rebased_chain(build, order):
     _assert_inverses_stored(R.chain)
 
 
+def imprimitivity_by_union_find(gens, alpha, delta):
+    """What find_imprimitivity returns for the one candidate delta, from
+    the union-find oracle: None when the partition is trivial, else delta
+    and the least point of each point's cell."""
+    cells = block_system_by_union_find(gens, alpha, delta)
+    n = gens[0].degree
+    if not 1 < len(cells) < n:
+        return None
+    labels = [0] * n
+    for cell in cells:
+        for x in cell:
+            labels[x] = cell[0]
+    return delta, labels
+
+
+def imprimitivity(gens, alpha, delta):
+    found = find_imprimitivity([np.array(g.images) for g in gens], alpha, [delta])
+    return None if found is None else (found[0], found[1].tolist())
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 16).flatmap(lambda n: st.tuples(
     st.lists(st.permutations(range(n)), min_size=1, max_size=3),
@@ -489,19 +508,19 @@ def test_rebased_chain(build, order):
 def test_minimal_block_system_matches_union_find(case):
     images, alpha, delta = case
     gens = [Permutation(p) for p in images]
-    assert minimal_block_system(gens, alpha, delta) == block_system_by_union_find(gens, alpha, delta)
+    assert imprimitivity(gens, alpha, delta) == imprimitivity_by_union_find(gens, alpha, delta)
 
 
 def test_minimal_block_system_on_dihedral_actions():
-    # D_2m on m points has a block system for every divisor of m
+    # D_2m on m points has a block system for every divisor of m: merging
+    # 0 and d gives the cosets of the multiples of gcd(m, d)
     for m in (12, 30, 64):
         rot = Permutation([(i + 1) % m for i in range(m)])
         ref = Permutation([(-i) % m for i in range(m)])
         for d in range(1, m):
-            expected = block_system_by_union_find([rot, ref], 0, d)
-            assert minimal_block_system([rot, ref], 0, d) == expected
-            found = find_imprimitivity([np.array(rot.images), np.array(ref.images)], 0, [d])
-            assert (found is None) == (len(expected) in (1, m))
+            expected = imprimitivity_by_union_find([rot, ref], 0, d)
+            assert imprimitivity([rot, ref], 0, d) == expected
+            assert (expected is None) == (gcd(m, d) == 1)
 
 
 def test_subgroup_closure_rejects_outsiders():
@@ -512,10 +531,8 @@ def test_subgroup_closure_rejects_outsiders():
 
 def test_minimal_block_system_cyclic():
     G = cyclic(6)
-    cells = minimal_block_system(G.gens, 0, 3)
-    assert cells == [[0, 3], [1, 4], [2, 5]]
-    cells = minimal_block_system(G.gens, 0, 2)
-    assert cells == [[0, 2, 4], [1, 3, 5]]
+    assert imprimitivity(G.gens, 0, 3) == (3, [0, 1, 2, 0, 1, 2])
+    assert imprimitivity(G.gens, 0, 2) == (2, [0, 1, 0, 1, 0, 1])
 
 
 def test_find_imprimitivity():

@@ -1,10 +1,12 @@
-"""Every module of the package, other than __init__.py, and the test
-oracles use each name they import; every underscore-named function or
-class is referenced somewhere in the package, every public one and every
-public method somewhere in the package or in perfbench/tracer.py, and
-every oracle in some test module."""
+"""Every module of the package and the test oracles use each name they
+import; every underscore-named function or class is referenced somewhere in
+the package; every public one and every public method is used somewhere in
+the package, in perfbench/tracer.py or by a backticked name in README.md;
+and every oracle is used by some test module. An import is not a use, so a
+re-export keeps no name alive."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "designforge"
 ORACLES = TESTS / "oracles.py"
 TRACER = TESTS.parent / "perfbench" / "tracer.py"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + [ORACLES]
+README = TESTS.parent / "README.md"
+MODULES = sorted(PACKAGE.glob("*.py")) + [ORACLES]
 
 
 def unused_imports(source: str):
@@ -30,8 +33,9 @@ def unused_imports(source: str):
     return sorted(imported - used)
 
 
-def referenced_names(trees):
-    """Every name, attribute and imported name the trees refer to."""
+def referenced_names(trees, imports=True):
+    """Every name and attribute the trees refer to, and every imported name
+    unless imports is false."""
     out = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -39,9 +43,15 @@ def referenced_names(trees):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif imports and isinstance(node, ast.alias):
                 out.add(node.name)
     return out
+
+
+def backticked_names(markdown):
+    """The identifiers inside the inline code spans of a Markdown text."""
+    spans = re.findall(r"`([^`\n]+)`", markdown)
+    return {name for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
 def unreferenced_private(sources):
@@ -57,10 +67,11 @@ def unreferenced_private(sources):
     return sorted(defined - referenced_names(trees))
 
 
-def unreferenced_public(sources, others):
+def unreferenced_public(sources, others, readme=""):
     """Public top-level functions and classes of the sources, and public
-    methods of their top-level classes, that no name, attribute or import in
-    the sources or the others refers to."""
+    methods of their top-level classes, that no name or attribute in the
+    sources or the others, and no backticked name in the readme, refers
+    to. Imports do not count: a used import is also a name."""
     trees = [ast.parse(src) for src in sources]
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined = set()
@@ -71,7 +82,8 @@ def unreferenced_public(sources, others):
             if isinstance(node, ast.ClassDef):
                 defined.update(item.name for item in node.body if isinstance(item, defs))
     public = {name for name in defined if not name.startswith("_")}
-    return sorted(public - referenced_names(trees + [ast.parse(src) for src in others]))
+    used = referenced_names(trees + [ast.parse(src) for src in others], imports=False)
+    return sorted(public - used - backticked_names(readme))
 
 
 def unreferenced_top_level(source, others):
@@ -109,12 +121,20 @@ def test_unreferenced_public_are_found():
         "class D:\n    def m(self): pass\n    def n(self): pass\n    def _p(self): pass\n",
         "from x import a\nD().n()\n",
     ]
-    assert unreferenced_public(sources, ["b()\n"]) == ["m"]
+    assert unreferenced_public(sources, ["b()\n"]) == ["a", "m"]
+
+
+def test_reexport_is_not_a_use_and_readme_is():
+    sources = [
+        "def a(): pass\ndef b(): pass\ndef c(): pass\n",
+        '"""The package."""\n\nfrom .m import a, b, c\n',
+    ]
+    assert unreferenced_public(sources, [], "Call `m.b(x)` or c.\n") == ["a", "c"]
 
 
 def test_no_unreferenced_public():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
-    assert unreferenced_public(sources, [TRACER.read_text()]) == []
+    assert unreferenced_public(sources, [TRACER.read_text()], README.read_text()) == []
 
 
 def test_unreferenced_top_level_are_found():

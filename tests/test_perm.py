@@ -8,8 +8,8 @@ from designforge.perm import (
     Permutation,
     parse_cycle_string,
     read_generator_file,
-    write_generator_file,
 )
+from oracles import write_generator_file
 
 
 def perms(max_degree=10):
