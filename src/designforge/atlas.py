@@ -1,7 +1,9 @@
 """Constructors for the concrete groups the case studies use.
 
-PSL(2,q) and PGL(2,q) act on the projective line PG(1,q); the Mathieu
-groups are ingested from generator files shipped under data/.
+PSL(2,q) and PGL(2,q) act on the projective line PG(1,q), whose points are
+(x:1) at index x, a field element of gf as an integer, and (1:0) at index
+q; each generator is the Moebius map of one matrix. The Mathieu groups are
+ingested from generator files shipped under data/.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from math import gcd
 import numpy as np
 
 from .errors import InvalidField, InvalidGenerators
-from .gf import FieldElem, FieldSpec, field_make, frobenius, is_square, subfield_embedding
+from .gf import field_make, subfield_embedding
 from .group import (
     ElementTable,
     PermGroup,
@@ -59,29 +61,20 @@ def _factor_prime_power(q: int):
 # -- the projective line ----------------------------------------------------
 
 
-class ProjectiveLine:
-    """PG(1,q): points (x:1) indexed by x.to_int(), plus (1:0) at index q."""
+def _moebius(F, a, b, c, d) -> Permutation:
+    """The permutation of PG(1,q) that the matrix [[a,b],[c,d]] over the
+    field F induces on row vectors: (x:1) is point x, (1:0) is point q."""
+    q = F.size
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.size = spec.size + 1
-        self.finite = [spec.from_int(n) for n in range(spec.size)]
+    def point(x, y):
+        return q if y == 0 else F.mul(x, F.inv(y))
 
-    def index(self, x: FieldElem, y: FieldElem) -> int:
-        if y.is_zero():
-            if x.is_zero():
-                raise ValueError("(0:0) is not a projective point")
-            return self.spec.size
-        return (x / y).to_int()
+    finite = [point(F.add(F.mul(x, a), c), F.add(F.mul(x, b), d)) for x in range(q)]
+    return Permutation(finite + [point(a, b)])
 
-    def moebius_perm(self, mat) -> Permutation:
-        """Permutation induced by the matrix [[a,b],[c,d]] on row vectors."""
-        a, b, c, d = mat
-        imgs = []
-        for x in self.finite:
-            imgs.append(self.index(x * a + c, x * b + d))
-        imgs.append(self.index(a, b))  # image of (1:0)
-        return Permutation(imgs)
+
+def _least_non_square(F) -> int:
+    return next(a for a in range(1, F.size) if not F.is_square(a))
 
 
 # -- PSL / PGL constructors -------------------------------------------------
@@ -90,15 +83,10 @@ class ProjectiveLine:
 def build_psl2(q: int) -> PermGroup:
     """PSL(2,q) on the q+1 points of PG(1,q)."""
     p, k = _factor_prime_power(q)
-    spec = field_make(p, k)
-    line = ProjectiveLine(spec)
-    one, zero = spec.one, spec.zero
-    gens = []
-    for i in range(k):
-        e = spec.elem(tuple(1 if j == i else 0 for j in range(k)))
-        gens.append(line.moebius_perm((one, e, zero, one)))
-    gens.append(line.moebius_perm((zero, one, -one, zero)))
-    G = PermGroup(gens, line.size)
+    F = field_make(p, k)
+    gens = [_moebius(F, 1, p**i, 0, 1) for i in range(k)]
+    gens.append(_moebius(F, 0, 1, F.neg(1), 0))
+    G = PermGroup(gens, q + 1)
     return _with_recipe(G, GroupRecipe("PSL(2,%d)" % q, "psl2", {"q": q}))
 
 
@@ -117,22 +105,14 @@ def embed_pgl2(q: int, variant: str = "squared") -> PermGroup:
     small = field_make(p, k)
     big = field_make(p, 2 * k)
     emb = subfield_embedding(small, big)
-    line = ProjectiveLine(big)
-    one, zero = big.one, big.zero
-    mats = []
-    for i in range(k):
-        e = emb[small.elem(tuple(1 if j == i else 0 for j in range(k)))]
-        mats.append((one, e, zero, one))
-    mats.append((zero, one, -one, zero))
-    rho = emb[small.generator()]
-    mats.append((rho, zero, zero, one))
-    gens = [line.moebius_perm(m) for m in mats]
+    gens = [_moebius(big, 1, emb[p**i], 0, 1) for i in range(k)]
+    gens.append(_moebius(big, 0, 1, big.neg(1), 0))
+    gens.append(_moebius(big, emb[small.generator], 0, 0, 1))
     if variant == "non-squared":
-        nu = next(a for a in (big.from_int(n) for n in range(1, big.size)) if not is_square(a))
-        h = line.moebius_perm((nu, zero, zero, one))
+        h = _moebius(big, _least_non_square(big), 0, 0, 1)
         hinv = h.inverse()
         gens = [g.conjugate(h, hinv) for g in gens]
-    G = PermGroup(gens, line.size)
+    G = PermGroup(gens, q * q + 1)
     return _with_recipe(
         G, GroupRecipe("PGL(2,%d) in PSL(2,%d)" % (q, q * q), "pgl2-in-psl2sq", {"q": q, "variant": variant})
     )
@@ -152,11 +132,8 @@ def build_pgammal2(q: int) -> PermGroup:
 
 def frobenius_on_projline(q: int, i: int = 1) -> Permutation:
     """The permutation of PG(1,q) induced by x -> x^(p^i)."""
-    p, k = _factor_prime_power(q)
-    spec = field_make(p, k)
-    imgs = [frobenius(spec.from_int(n), i).to_int() for n in range(spec.size)]
-    imgs.append(spec.size)
-    return Permutation(imgs)
+    F = field_make(*_factor_prime_power(q))
+    return Permutation([F.frobenius(x, i) for x in range(q)] + [q])
 
 
 def diagonal_map_on_projline(q: int) -> Permutation:
@@ -167,17 +144,17 @@ def diagonal_map_on_projline(q: int) -> Permutation:
     p, k = _factor_prime_power(q)
     if p == 2:
         raise InvalidField("q must be odd")
-    spec = field_make(p, k)
-    line = ProjectiveLine(spec)
-    nu = next(a for a in (spec.from_int(n) for n in range(1, spec.size)) if not is_square(a))
-    return line.moebius_perm((nu, spec.zero, spec.zero, spec.one))
+    F = field_make(p, k)
+    return _moebius(F, _least_non_square(F), 0, 0, 1)
 
 
 # -- symmetric / alternating ------------------------------------------------
 
 
 def build_symmetric(n: int) -> PermGroup:
-    gens = [Permutation([1, 0] + list(range(2, n)))]
+    if n < 1:
+        raise ValueError("need n >= 1")
+    gens = [Permutation([1, 0] + list(range(2, n)))] if n > 1 else []
     if n > 2:
         gens.append(Permutation(list(range(1, n)) + [0]))
     G = PermGroup(gens, n)

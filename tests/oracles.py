@@ -596,6 +596,43 @@ def refine_structured(search, pcolor, bcolor):
     return pcolor, bcolor, inv
 
 
+# -- finite fields as digit lists, the reference for gf's log tables
+
+
+def field_digits(F, n):
+    """The F.k base-F.p digits of n, the coefficients of the polynomial
+    that n stands for, constant term first."""
+    out = []
+    for _ in range(F.k):
+        n, d = divmod(n, F.p)
+        out.append(d)
+    return out
+
+
+def field_number(F, digits):
+    n = 0
+    for d in reversed(digits):
+        n = n * F.p + d % F.p
+    return n
+
+
+def field_add_by_digits(F, a, b):
+    return field_number(F, [x + y for x, y in zip(field_digits(F, a), field_digits(F, b))])
+
+
+def field_mul_by_digits(F, a, b):
+    """a * b as the schoolbook product of the digit lists, reduced modulo
+    the monic F.modulus by rewriting x^k as minus its lower terms."""
+    prod = [0] * (2 * F.k)
+    for i, x in enumerate(field_digits(F, a)):
+        for j, y in enumerate(field_digits(F, b)):
+            prod[i + j] += x * y
+    for top in reversed(range(F.k, 2 * F.k)):
+        for i in range(F.k):
+            prod[top - F.k + i] -= prod[top] * F.modulus[i]
+    return field_number(F, prod[: F.k])
+
+
 # -- report conversion, the reference for cli._dumps
 
 

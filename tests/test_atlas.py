@@ -1,3 +1,4 @@
+import hashlib
 from math import gcd
 
 import pytest
@@ -100,11 +101,79 @@ def test_build_pgammal2():
     assert H.order() == 360 * 2 * 2
 
 
+# sha256 prefixes of the generator image tuples, read before the field moved
+# to integers with log tables; reports number classes by these images
+GOLDEN_IMAGES = [
+    ("psl2", 4, "61cc7be89805e333"),
+    ("pgammal2", 4, "3731541c39d7ecff"),
+    ("frobenius", 4, "b94d399e0d73da79"),
+    ("psl2", 5, "cb3f7be674ade5cb"),
+    ("pgammal2", 5, "f5cdc3939471750d"),
+    ("frobenius", 5, "a44e487ac2f5cdaa"),
+    ("diagonal", 5, "1c0d9742e7af0703"),
+    ("psl2", 7, "c42ab07945d84900"),
+    ("pgammal2", 7, "a4676a8da024b27b"),
+    ("frobenius", 7, "70bb5bc3e90221cd"),
+    ("diagonal", 7, "f7b743f1c3f55d24"),
+    ("psl2", 8, "c02930fab562ee01"),
+    ("pgammal2", 8, "6c72272a1cd2cbec"),
+    ("frobenius", 8, "cacf5ac3d04d11a9"),
+    ("psl2", 9, "e4757e28f4a4d032"),
+    ("pgammal2", 9, "122d851c9247d359"),
+    ("frobenius", 9, "f9bf886df6054442"),
+    ("diagonal", 9, "667f5049cad19c97"),
+    ("psl2", 25, "657df14732783814"),
+    ("pgammal2", 25, "173c1358adc1fabd"),
+    ("frobenius", 25, "025d14d9a5668574"),
+    ("diagonal", 25, "c67c683f46b6b905"),
+    ("psl2", 27, "5b66992206793577"),
+    ("pgammal2", 27, "0c89b7c17856d101"),
+    ("frobenius", 27, "82360f6d94ddaf7a"),
+    ("diagonal", 27, "24c5c58f93499478"),
+    ("psl2", 49, "bd8ca38e106f45b3"),
+    ("pgammal2", 49, "f6b879a6953c0061"),
+    ("frobenius", 49, "aaa8b8dd75ae6486"),
+    ("diagonal", 49, "c8bcd0369bb04aed"),
+    ("embed_pgl2:squared", 3, "1a44c44dd2827c20"),
+    ("embed_pgl2:non-squared", 3, "38c73969f552b8e0"),
+    ("embed_pgl2:squared", 5, "366f7dc1c041502a"),
+    ("embed_pgl2:non-squared", 5, "4ccae27e67c04ffe"),
+    ("embed_pgl2:squared", 7, "90440afa40fa6563"),
+    ("embed_pgl2:non-squared", 7, "c1a1616913e73225"),
+    ("embed_pgl2:squared", 9, "24ce483415d92bcc"),
+    ("embed_pgl2:non-squared", 9, "c26d67f16c08682f"),
+]
+
+
+def _generators(name, q):
+    if name.startswith("embed_pgl2:"):
+        return embed_pgl2(q, name.split(":")[1]).gens
+    builders = {"psl2": build_psl2, "pgammal2": build_pgammal2}
+    if name in builders:
+        return builders[name](q).gens
+    return [{"frobenius": frobenius_on_projline, "diagonal": diagonal_map_on_projline}[name](q)]
+
+
+@pytest.mark.parametrize("name,q,digest", GOLDEN_IMAGES, ids=["%s-%d" % row[:2] for row in GOLDEN_IMAGES])
+def test_generator_images_are_pinned(name, q, digest):
+    images = repr(tuple(tuple(g.images) for g in _generators(name, q)))
+    assert hashlib.sha256(images.encode()).hexdigest()[:16] == digest
+
+
 def test_symmetric_and_alternating():
     assert build_symmetric(5).order() == 120
     A = build_alternating(6)
     assert A.order() == 360
     assert all(sum(len(c) - 1 for c in g.cycles()) % 2 == 0 for g in A.gens)
+
+
+def test_symmetric_small_degrees():
+    S1 = build_symmetric(1)
+    assert (S1.degree, S1.order(), S1.gens) == (1, 1, ())
+    assert build_symmetric(2).order() == 2
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            build_symmetric(n)
 
 
 @pytest.mark.parametrize("n,order", [(22, 443520), (23, 10200960), (24, 244823040)])
