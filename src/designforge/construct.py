@@ -78,7 +78,9 @@ def coset_action(G: PermGroup, M: PermGroup) -> CosetAction:
         return np.array([least(Permutation._trusted(tuple(u)) * g).images for u in rows.tolist()], rows.dtype)
 
     orbit, images = orbit_with_transversal(G, least(G.identity()).images, on_cosets)
-    image = PermGroup([Permutation(col.tolist()) for col in images], len(orbit))
+    # an image of G: |G| bounds its order, and certifies it when the
+    # action is faithful
+    image = PermGroup([Permutation(col.tolist()) for col in images], len(orbit), order_bound=G.order())
     index_of = {Permutation._trusted(tuple(u)): i for i, u in enumerate(orbit.tolist())}
     return CosetAction(subgroup=M, group=image, index_of=index_of)
 

@@ -1,22 +1,33 @@
 """Permutation groups with a base and strong generating set.
 
 A group's Schreier-Sims chain grows only through _Chain.extend, one
-generator at a time, and grows incrementally: each level keeps every
-transversal entry it has, with its inverse, so sifting never inverts a
-permutation, and each (orbit point, level generator) Schreier pair is
-checked once.  An entry u*s gets its inverse as s^-1 * u^-1, a product of
-inverses already at hand.  The chain is built deterministically: base
-points are chosen greedily as the first point moved by each new strong
-generator, orbits are extended breadth-first in insertion order.  Identical
-generator lists therefore always produce identical chains.
+generator at a time, and grows incrementally.  Each level keeps its Schreier
+tree: every point of its fundamental orbit, with the point it was first
+reached from and the level generator that took it there.  A transversal
+entry, or its inverse, is multiplied out along its point's tree path only
+when a sift, a Schreier generator or least_in_coset first needs it, and is
+kept from then on, so sifting never inverts a permutation (_TreeProducts,
+which _SchreierTree shares).  Each (orbit point, level generator) Schreier
+pair is checked once, and a pair that is a tree edge, whose Schreier
+generator is the identity, is skipped.  The chain is built
+deterministically: base points are chosen greedily as the first point moved
+by each new strong generator, orbits are extended breadth-first in insertion
+order.  Identical generator lists therefore always produce identical chains.
 
-PermGroup.rebased(points) rebuilds a group's chain on a base that starts
-with the given points.  The group's own chain certifies its order, so the
-rebuild stops as soon as its transversal lengths multiply to that order
-(Schreier-Sims with a known order; Seress, Permutation Group Algorithms,
-2003, section 4.5).  Pointwise stabilizers off the group's base and the
-automorphism search's known group are rebuilt this way, and so is the
-stabilizer schreier_stabilizer grows to the order orbit-stabilizer gives it.
+PermGroup.order_bound is the one place an order is certified or bounded: a
+number the group's order does not exceed, at which Schreier-Sims stops.  The
+transversal lengths never multiply to more than the order, so when they
+reach the bound the chain is complete and the order certified (Schreier-Sims
+with a known order; Seress, Permutation Group Algorithms, 2003, section
+4.5).  Four callers set it:
+  - PermGroup.rebased, to the group's own order, which its chain certifies;
+    pointwise stabilizers off the group's base and the automorphism
+    search's known group are rebuilt this way;
+  - schreier_stabilizer, to |G| / |orbit| by orbit-stabilizer;
+  - construct.coset_action, to |G|, which bounds the order of any image of
+    G; an unfaithful action never reaches it and runs the full check;
+  - PermGroup.extend(g), when g normalizes the group K, to |K| m, m the
+    order of gK.
 
 Orbits are tables of rows: orbit_with_transversal runs Sims's orbit
 algorithm one breadth-first level at a time, acting on the whole frontier
@@ -34,6 +45,7 @@ PermGroup's orbits on points all read it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property
 from random import Random
 
@@ -50,29 +62,79 @@ from .perm import Permutation
 DEFAULT_ORBIT_CAP = 1 << 24
 
 
-class _Chain:
-    """Base, per-level strong generators, and transversals kept with their
-    inverses.
+class _TreeProducts(Mapping):
+    """The products along a Schreier tree, one per node: the root's is
+    value, and a node's is step(its parent's, the index of the generator on
+    the edge between them).
 
-    A level only grows: its transversal keeps every entry it has, and each
-    (orbit point, level generator) pair is checked as a Schreier generator
-    once.
+    tree maps each node to (parent node, generator index), the root to None.
+    Its owner grows it, and this mapping reads it: its keys are the tree's
+    nodes, in the tree's order, and a node's product is multiplied out along
+    its tree path when it is first read, then kept with those of the nodes
+    on the path."""
+
+    def __init__(self, tree, root, value, step):
+        self.tree = tree
+        self.known = {root: value}
+        self.step = step
+
+    def __getitem__(self, w):
+        known = self.known
+        u = known.get(w)
+        if u is None:
+            tree = self.tree
+            path = []
+            while w not in known:
+                path.append(w)
+                w = tree[w][0]
+            u = known[w]
+            for w in reversed(path):
+                u = known[w] = self.step(u, tree[w][1])
+        return u
+
+    def __iter__(self):
+        return iter(self.tree)
+
+    def __len__(self):
+        return len(self.tree)
+
+    def __contains__(self, w):
+        return w in self.tree
+
+
+class _Chain:
+    """Base, per-level strong generators, and per-level Schreier trees.
+
+    trees[i] maps each point of level i's fundamental orbit to (the point it
+    was first reached from, the index in level_gens[i] of the generator that
+    took it there), the base point to None, in breadth-first order.
+    transversals[i] and inverses[i] read the entries that map base[i] to
+    each orbit point, and their inverses, off that tree, each multiplied out
+    when first read: the 13 chains on 378 points that the examples command
+    rebuilds for its automorphism searches multiply out 491 of their 5114
+    entries.
+
+    A level only grows: its tree keeps every point it has, and each (orbit
+    point, level generator) pair is checked as a Schreier generator once.
+    extend(g, bound) stops Schreier-Sims when the transversal lengths
+    multiply to bound, an upper bound on the order. PermGroup.order_bound is
+    the one place a bound is kept; rebased, schreier_stabilizer,
+    construct.coset_action and PermGroup.extend set it (module docstring).
     """
 
-    def __init__(self, degree, gens, base_hint=(), order=None):
+    def __init__(self, degree, gens, base_hint=(), bound=None):
         self.degree = degree
         self.base = []
         self.level_gens = []  # level i: generators of the stabilizer of base[:i]
+        self.level_invs = []  # level i: their inverses
+        self.trees = []  # level i: orbit point -> (tree parent, generator index)
         self.transversals = []  # level i: point -> perm mapping base[i] to point
         self.inverses = []  # level i: point -> inverse of its transversal entry
         self._checked = []  # level i: point -> how many level generators it has checked
-        # the group's certified order, known only while the chain is built
-        self._target = order
         for b in base_hint:
             self._new_level(b)
         for g in gens:
-            self.extend(g)
-        self._target = None
+            self.extend(g, bound)
 
     def _first_moved(self, g):
         for i, j in enumerate(g.images):
@@ -81,27 +143,28 @@ class _Chain:
         raise AssertionError("identity has no moved point")
 
     def _orbit(self, level):
-        """Extend the fundamental orbit and transversal of a level to its
-        current generators, keeping the entries already there."""
-        trans = self.transversals[level]
-        inv = self.inverses[level]
-        gens = [(s, s.inverse()) for s in self.level_gens[level]]
-        queue = list(trans)
+        """Extend the Schreier tree of a level to its current generators,
+        keeping the points already there."""
+        tree = self.trees[level]
+        gens = [s.images for s in self.level_gens[level]]
+        queue = list(tree)
         for pt in queue:
-            rep, rinv = trans[pt], inv[pt]
-            for s, sinv in gens:
-                img = s.images[pt]
-                if img not in trans:
-                    trans[img] = rep * s
-                    inv[img] = sinv * rinv
+            for k, s in enumerate(gens):
+                img = s[pt]
+                if img not in tree:
+                    tree[img] = (pt, k)
                     queue.append(img)
 
     def _new_level(self, point):
         identity = Permutation.identity(self.degree)
+        gens, invs, tree = [], [], {point: None}
         self.base.append(point)
-        self.level_gens.append([])
-        self.transversals.append({point: identity})
-        self.inverses.append({point: identity})
+        self.level_gens.append(gens)
+        self.level_invs.append(invs)
+        self.trees.append(tree)
+        # an entry u*s has the inverse s^-1 * u^-1
+        self.transversals.append(_TreeProducts(tree, point, identity, lambda u, k: u * gens[k]))
+        self.inverses.append(_TreeProducts(tree, point, identity, lambda u, k: invs[k] * u))
         self._checked.append({})
 
     def sift(self, g, start=0):
@@ -115,41 +178,46 @@ class _Chain:
             img = h.images[self.base[level]]
             if img == self.base[level]:
                 continue
-            inv = self.inverses[level].get(img)
+            inverses = self.inverses[level]
+            inv = inverses.known.get(img)  # a kept inverse, without a method call
             if inv is None:
-                return h, level
+                if img not in inverses:
+                    return h, level
+                inv = inverses[img]
             h = h * inv
         return h, len(self.base)
 
-    def extend(self, g) -> bool:
+    def extend(self, g, bound) -> bool:
         """Add the generator g; False, with the chain unchanged, when g is
-        already a member."""
+        already a member. Schreier-Sims stops when the order reaches bound."""
         residue, level = self.sift(g)
         if residue.is_identity():
             return False
         self._add(residue, 0, level)
-        self._verify(level)
+        self._verify(level, bound)
         return True
 
     def _add(self, h, first, level):
         """Add h, which fixes base[:level], to levels first..level."""
         if level == len(self.base):
             self._new_level(self._first_moved(h))
+        hinv = h.inverse()
         for j in range(first, level + 1):
             self.level_gens[j].append(h)
+            self.level_invs[j].append(hinv)
             self._orbit(j)
 
-    def _verify(self, i):
+    def _verify(self, i, bound):
         """Schreier-Sims from level i up to level 0: every Schreier generator
         of a level must sift through the levels below it.
 
-        While a chain is built to a known order, it stops once the
-        transversal lengths multiply to that order. Each level's orbit lies
-        in the true fundamental orbit, so the product never exceeds |G|, and
-        when it equals |G| every level's generators generate the true
+        It stops once the transversal lengths multiply to bound, an upper
+        bound on |G|. Each level's orbit lies in the true fundamental orbit,
+        so the product never exceeds |G|, and when it equals the bound, it
+        equals |G| and every level's generators generate the true
         stabilizer: the pairs left unchecked would all sift."""
         while i >= 0:
-            if self._target is not None and self.order() == self._target:
+            if bound is not None and self.order() == bound:
                 return
             found = self._unsifted_schreier(i)
             if found is None:
@@ -164,18 +232,22 @@ class _Chain:
         level i that does not sift to the identity, or None.
 
         A pair that sifted to the identity once always will: its transversal
-        entries are kept and the levels below only grow.
+        entries never change and the levels below only grow. A tree edge
+        pt -k-> img gives the identity, since u_img = u_pt * s_k.
         """
+        tree = self.trees[i]
         trans = self.transversals[i]
         inv = self.inverses[i]
         gens = self.level_gens[i]
         checked = self._checked[i]
-        for pt, rep in trans.items():
+        for pt in tree:
             for k in range(checked.get(pt, 0), len(gens)):
                 s = gens[k]
-                residue, level = self.sift(rep * s * inv[s.images[pt]], i + 1)
-                if not residue.is_identity():
-                    return residue, level
+                img = s.images[pt]
+                if tree[img] != (pt, k):
+                    residue, level = self.sift(trans[pt] * s * inv[img], i + 1)
+                    if not residue.is_identity():
+                        return residue, level
                 checked[pt] = k + 1
         return None
 
@@ -191,15 +263,19 @@ class _Chain:
 
     def order(self):
         n = 1
-        for trans in self.transversals:
-            n *= len(trans)
+        for tree in self.trees:
+            n *= len(tree)
         return n
 
 
 class PermGroup:
-    """A finite permutation group given by generators."""
+    """A finite permutation group given by generators.
 
-    def __init__(self, gens, degree=None, base_hint=()):
+    order_bound, when given, is a number that the group's order does not
+    exceed, nor that of any group extend grows it into while its order is
+    below the bound; Schreier-Sims stops when the order reaches it."""
+
+    def __init__(self, gens, degree=None, base_hint=(), order_bound=None):
         gens = list(gens)
         if degree is None:
             if not gens:
@@ -213,13 +289,14 @@ class PermGroup:
         self.degree = degree
         self.gens = tuple(g for g in gens if not g.is_identity())
         self._base_hint = tuple(base_hint)
+        self.order_bound = order_bound
         self._chain = None
         self.recipe = None  # a GroupRecipe when the atlas built the group
 
     @property
     def chain(self) -> _Chain:
         if self._chain is None:
-            self._chain = _Chain(self.degree, self.gens, self._base_hint)
+            self._chain = _Chain(self.degree, self.gens, self._base_hint, self.order_bound)
         return self._chain
 
     def order(self) -> int:
@@ -233,14 +310,38 @@ class PermGroup:
 
     def extend(self, g: Permutation) -> bool:
         """Add the generator g, growing the chain in place; False, with the
-        group unchanged, when g is already a member."""
+        group unchanged, when g is already a member.
+
+        Below order_bound, Schreier-Sims stops at it. A group at its bound,
+        or with none, has its order certified by its chain; then the new
+        order is bounded only when g normalizes the group K: |<K, g>| is
+        |K| m, m the order of gK in <K, g>/K, and that is the new bound.
+        Otherwise the chain is verified in full."""
         if g.degree != self.degree:
             raise InvalidGenerators("generator degree %d != group degree %d" % (g.degree, self.degree))
-        if not self.chain.extend(g):
+        chain = self.chain
+        bound = self.order_bound
+        if bound is None or chain.order() >= bound:
+            if chain.sift(g)[0].is_identity():
+                return False
+            bound = chain.order() * self._coset_order(g) if normalizing_map_check(self, g) else None
+        if not chain.extend(g, bound):
             return False
+        self.order_bound = bound
         self.gens += (g,)
         self._pr_state = None  # restart product replacement with the new generator
         return True
+
+    def _coset_order(self, g: Permutation) -> int:
+        """The order of gK in <K, g>/K, K this group and g a normalizer of
+        it: the least m with g^m in K, which divides the order d of g, found
+        by dividing each prime p out of d while g^(d/p) stays in K."""
+        chain = self.chain
+        d = g.order()
+        for p in _prime_factors(d):
+            while d % p == 0 and chain.sift(g ** (d // p))[0].is_identity():
+                d //= p
+        return d
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
@@ -262,12 +363,10 @@ class PermGroup:
         return not self.orbit_minima().any()
 
     def rebased(self, points) -> "PermGroup":
-        """This group on a chain whose base starts with points. The chain is
-        built by Schreier-Sims that stops at this group's order, which its
-        own chain certifies."""
-        G = PermGroup(self.gens, self.degree, base_hint=points)
-        G._chain = _Chain(self.degree, self.gens, G._base_hint, order=self.order())
-        return G
+        """This group on a chain whose base starts with points, built by
+        Schreier-Sims that stops at this group's order, which its own chain
+        certifies."""
+        return PermGroup(self.gens, self.degree, base_hint=points, order_bound=self.order())
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """Subgroup fixing every listed point: a level of this group's chain
@@ -307,6 +406,20 @@ class PermGroup:
 
     def __repr__(self):
         return "PermGroup(degree=%d, ngens=%d)" % (self.degree, len(self.gens))
+
+
+def _prime_factors(n: int):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _pr_mix(state, rng):
@@ -554,8 +667,8 @@ def schreier_stabilizer(G: PermGroup, orbit, images, root=0, on_orbit=False):
 
     It is extended by the Schreier generators of a _SchreierTree, in the
     order its search meets them, until the orbit-stabilizer identity
-    certifies it complete: its order is |G| / |orbit|. Schreier-Sims stops
-    there too, as in PermGroup.rebased.
+    certifies it complete: its order is |G| / |orbit|, the stabilizer's
+    order_bound, at which Schreier-Sims stops.
 
     With on_orbit it returns (the stabilizer, each of its generators as a
     permutation of the orbit: an int array, entry i the index of orbit[i]'s
@@ -568,19 +681,16 @@ def schreier_stabilizer(G: PermGroup, orbit, images, root=0, on_orbit=False):
     target = G.order() // len(orbit)
     if target * len(orbit) != G.order():
         raise AssertionError("orbit size does not divide group order")
-    stab = PermGroup([], G.degree)
-    chain = stab.chain
-    chain._target = target
+    stab = PermGroup([], G.degree, order_bound=target)
     tree = _SchreierTree(G, images, root)
     edges = tree.revisits()
     kept = []
-    while chain.order() < target:
+    while stab.order() < target:
         edge = next(edges, None)
         if edge is None:
             raise AssertionError("Schreier generation did not reach stabilizer order")
         if stab.extend(tree.generator(*edge)):
             kept.append(edge)
-    chain._target = None
     if on_orbit:
         return stab, [tree.orbit_generator(*edge) for edge in kept]
     return stab
@@ -594,7 +704,7 @@ def transversal(G: PermGroup, images, points, root=0):
     tree = _SchreierTree(G, images, root)
     for _ in tree.revisits():  # grow the whole tree
         pass
-    return [tree.entry(w) for w in points]
+    return [tree.entries[w] for w in points]
 
 
 class _SchreierTree:
@@ -605,13 +715,22 @@ class _SchreierTree:
     which gives w the transversal entry u_w = u_v g_k. Each edge it meets
     again gives the Schreier generator u_v g_k u_w^-1. An entry is
     multiplied out only when a Schreier generator needs it, along its tree
-    path: most elements the search reaches never need theirs."""
+    path (_TreeProducts, as a _Chain level's): most elements the search
+    reaches never need theirs."""
 
     def __init__(self, G: PermGroup, images, root):
-        self.gens, self.images, self.root = G.gens, images, root
+        gens = self.gens = G.gens
+        self.images, self.root = images, root
         self.parent = {root: None}  # orbit index -> (tree parent, generator index)
-        self.entries = {root: G.identity()}
-        self.orbit_entries = {}
+        # steps that do not hold self, so that a tree is freed without the
+        # cycle collector
+        self.entries = _TreeProducts(self.parent, root, G.identity(), lambda u, k: u * gens[k])
+
+    @cached_property
+    def orbit_entries(self):
+        """The entries as permutations of the orbit's indices."""
+        images = self.images
+        return _TreeProducts(self.parent, self.root, np.arange(len(images[0])), lambda p, k: images[k][p])
 
     def revisits(self):
         """(v, k, w) for each edge v -k-> w that reaches an element already
@@ -626,36 +745,13 @@ class _SchreierTree:
                 else:
                     yield v, k, w
 
-    def _grow(self, w, known, step):
-        """known[w], grown by step along the tree path from an element in
-        known."""
-        path = []
-        while w not in known:
-            path.append(w)
-            w = self.parent[w][0]
-        u = known[w]
-        for w in reversed(path):
-            u = known[w] = step(u, self.parent[w][1])
-        return u
-
-    def _times(self, u, k):
-        return u * self.gens[k]
-
-    def _then(self, p, k):
-        return self.images[k][p]
-
-    def entry(self, w) -> Permutation:
-        """The transversal entry u_w of an element the search has reached."""
-        return self._grow(w, self.entries, self._times)
-
     def generator(self, v, k, w) -> Permutation:
         """The Schreier generator u_v g_k u_w^-1 of the edge v -k-> w."""
-        return self.entry(v) * self.gens[k] * self.entry(w).inverse()
+        return self.entries[v] * self.gens[k] * self.entries[w].inverse()
 
     def orbit_generator(self, v, k, w):
         """The same generator as a permutation of the orbit's indices."""
-        self.orbit_entries.setdefault(self.root, np.arange(len(self.images[0])))
-        uv, uw = self._grow(v, self.orbit_entries, self._then), self._grow(w, self.orbit_entries, self._then)
+        uv, uw = self.orbit_entries[v], self.orbit_entries[w]
         inv = np.empty_like(uw)
         inv[uw] = np.arange(len(uw))
         return inv[self.images[k][uv]]

@@ -1,3 +1,7 @@
+import gc
+import hashlib
+import weakref
+from itertools import permutations
 from math import factorial, gcd
 from random import Random
 
@@ -6,15 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from designforge.atlas import build_alternating, build_psl2, build_symmetric
+from designforge.atlas import (
+    build_alternating,
+    build_psl2,
+    build_symmetric,
+    frobenius_on_projline,
+    mathieu_group,
+    normalizer_of_cyclic,
+)
+from designforge.construct import coset_action
 from designforge.errors import NotASubgroupElement, NotFound, OrbitOverflow
 from designforge.group import (
     PermGroup,
     _Chain,
+    _SchreierTree,
     centralizer,
     element_of_order,
     find_imprimitivity,
     index_set_action,
+    normalizing_map_check,
     orbit_with_stabilizer,
     orbit_with_transversal,
     schreier_stabilizer,
@@ -72,8 +86,6 @@ def test_trivial_group_contains_only_identity():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_symmetric_membership_exhaustive(n):
-    from itertools import permutations
-
     G = sym(n)
     for images in permutations(range(n)):
         assert Permutation(images) in G
@@ -108,8 +120,8 @@ def _chain_snapshot(chain):
 def test_extend_matches_naive_closure(data):
     # a group grown one generator at a time, in random order, has the
     # closure's order and members, and extend refuses exactly the generators
-    # already members; every level keeps transversal entries mapping its base
-    # point where they claim, with their inverses, and the same generator
+    # already members; every level's tree edges and transversal entries map
+    # points where they claim, with their inverses, and the same generator
     # list gives the same chain
     n = data.draw(st.integers(1, 8))
     G = PermGroup([], n)
@@ -123,14 +135,11 @@ def test_extend_matches_naive_closure(data):
         gens.append(g)
         elems = naive_closure(gens, n)
         assert G.order() == len(elems)
+        # a bound the group has reached is its order
+        assert G.order_bound in (None, len(elems))
         assert all(x in G for x in elems)
         chain = G.chain
-        for i, b in enumerate(chain.base):
-            assert all(s.images[p] == p for s in chain.level_gens[i] for p in chain.base[:i])
-            assert list(chain.inverses[i]) == list(chain.transversals[i])
-            for pt, rep in chain.transversals[i].items():
-                assert rep.images[b] == pt
-                assert chain.inverses[i][pt] == rep.inverse()
+        _assert_levels(chain)
         assert _chain_snapshot(PermGroup(gens, n).chain) == _chain_snapshot(chain)
     outsider = Permutation(data.draw(st.permutations(list(range(n)))))
     assert (outsider in G) == (outsider in elems)
@@ -435,10 +444,19 @@ def m11():
     return PermGroup([parse_cycle_string(c, 11) for c in gens], 11)
 
 
-def _assert_inverses_stored(chain):
-    for trans, inv in zip(chain.transversals, chain.inverses):
-        assert list(inv) == list(trans)
-        assert all(inv[pt] == rep.inverse() for pt, rep in trans.items())
+def _assert_levels(chain):
+    """Each level's generators fix the base points before it, each tree edge
+    parent -k-> pt is generator k taking parent to pt, and each transversal
+    entry maps the base point to its point, with its inverse beside it."""
+    for i, (b, gens, tree) in enumerate(zip(chain.base, chain.level_gens, chain.trees)):
+        assert all(s.images[p] == p for s in gens for p in chain.base[:i])
+        assert tree[b] is None
+        assert all(gens[k].images[parent] == pt for pt, (parent, k) in list(tree.items())[1:])
+        trans, inv = chain.transversals[i], chain.inverses[i]
+        assert list(trans) == list(inv) == list(tree)
+        for pt, rep in trans.items():
+            assert rep.images[b] == pt
+            assert inv[pt] == rep.inverse()
 
 
 @pytest.mark.parametrize(
@@ -452,7 +470,7 @@ def test_rebased_chain(build, order):
     # the pointwise stabilizers of a chain built in full on those points
     G = build()
     assert G.order() == order
-    _assert_inverses_stored(G.chain)
+    _assert_levels(G.chain)
     rng = Random(5)
     members = [G.random_element(rng) for _ in range(20)]
     others = []
@@ -467,7 +485,7 @@ def test_rebased_chain(build, order):
         assert R.order() == order
         assert all(x in R for x in members)
         assert [x in R for x in others] == [x in G for x in others]
-        _assert_inverses_stored(R.chain)
+        _assert_levels(R.chain)
         full = _Chain(G.degree, G.gens, base_hint=points)
         level = (full.level_gens + [[]])[len(points)]
         assert G.pointwise_stabilizer(points).order() == PermGroup(level, G.degree).order()
@@ -476,7 +494,157 @@ def test_rebased_chain(build, order):
     R = G.rebased(rng.sample(range(G.degree), 2))
     assert R.extend(outsider)
     assert R.order() == PermGroup(list(G.gens) + [outsider]).order()
-    _assert_inverses_stored(R.chain)
+    _assert_levels(R.chain)
+
+
+# The first 16 hex digits of the sha256 of repr(_chain_snapshot(chain)) for
+# each group's chain and for its chain rebased on [degree - 1, 3], recorded
+# from a chain that multiplied out every transversal entry and inverse as it
+# grew: reading them off the Schreier trees gives the same chains.
+CHAIN_DIGESTS = [
+    ("M22", lambda: mathieu_group(22), "2fbb054aaddc7546", "1f9a24d0bf30ca63"),
+    ("M23", lambda: mathieu_group(23), "d1c3d06334c2e59b", "559e6e48d3900b59"),
+    ("M24", lambda: mathieu_group(24), "1c71479ca8458378", "3c52f1e856f21282"),
+    ("PSL(2,7)", lambda: build_psl2(7), "694e7cbf0ee5cbe1", "3602e76581140b69"),
+    ("PSL(2,8)", lambda: build_psl2(8), "3878958ace0bdd70", "19614abc6f3ccc29"),
+    ("PSL(2,9)", lambda: build_psl2(9), "22a71c7a2ca1ac45", "00a89eec29eaf98d"),
+    ("PSL(2,25)", lambda: build_psl2(25), "f924a3c77b144006", "152f72a428373c02"),
+    ("PSL(2,27)", lambda: build_psl2(27), "c678ddffd0161cc6", "1fc2c40f7e3fc818"),
+    ("PSL(2,49)", lambda: build_psl2(49), "4ed4572706e3e041", "6d0348b3cb28997d"),
+]
+
+
+def _chain_digest(G):
+    return hashlib.sha256(repr(_chain_snapshot(G.chain)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("build, digest, rebased_digest", [c[1:] for c in CHAIN_DIGESTS], ids=[c[0] for c in CHAIN_DIGESTS])
+def test_chain_digests(build, digest, rebased_digest):
+    G = build()
+    assert _chain_digest(G) == digest
+    assert _chain_digest(G.rebased([G.degree - 1, 3])) == rebased_digest
+
+
+def test_coset_image_chain_digest():
+    # PSL(2,27) on the 378 cosets of the normalizer of an element of order 13
+    G = build_psl2(27)
+    image = coset_action(G, normalizer_of_cyclic(G, element_of_order(G, 13))).group
+    assert _chain_digest(image) == "56290e3e12669520"
+
+
+@pytest.mark.parametrize(
+    "group, subgroup, image_order",
+    [
+        (build_symmetric, ["(1,2,3,4)", "(1,3)"], 6),  # D8
+        (build_alternating, ["(1,2)(3,4)", "(1,3)(2,4)"], 3),  # V4
+        (build_symmetric, ["(1,2,3)", "(2,3,4)"], 2),  # A4
+        (build_symmetric, ["(1,2)(3,4)", "(1,3)(2,4)"], 6),  # V4
+        (build_symmetric, ["(1,2)"], 24),  # faithful
+    ],
+    ids=["S4/D8", "A4/V4", "S4/A4", "S4/V4", "S4/S2"],
+)
+def test_coset_image_order_bound(group, subgroup, image_order):
+    # |G| bounds the order of G's image on cosets; an unfaithful action's
+    # image never reaches it and is verified in full: its order and members
+    # are the closure's
+    G = group(4)
+    image = coset_action(G, PermGroup([parse_cycle_string(c, 4) for c in subgroup], 4)).group
+    assert image.order_bound == G.order()
+    elems = naive_closure(image.gens, image.degree)
+    assert image.order() == len(elems) == image_order
+    if image.degree <= 6:
+        everything = [Permutation(x) for x in permutations(range(image.degree))]
+        assert [x in image for x in everything] == [x in elems for x in everything]
+
+
+@pytest.mark.parametrize(
+    "build, g, order",
+    [
+        (lambda: build_alternating(5), parse_cycle_string("(1,2)", 5), 120),
+        (lambda: build_psl2(9), frobenius_on_projline(9, 1), 720),
+        # (1,2)(3,4,5) has order 6, but its square is in A_n: m = 2
+        (lambda: build_alternating(5), parse_cycle_string("(1,2)(3,4,5)", 5), 120),
+        (lambda: build_alternating(7), parse_cycle_string("(1,2)(3,4,5)", 7), 5040),
+        # the trivial group: m is the order of g
+        (lambda: PermGroup([], 6), parse_cycle_string("(1,2)(3,4,5)", 6), 6),
+    ],
+    ids=["A5+(1,2)", "PSL(2,9)+frobenius", "A5+(1,2)(3,4,5)", "A7+(1,2)(3,4,5)", "1+(1,2)(3,4,5)"],
+)
+def test_extend_by_normalizing_element(build, g, order):
+    # <K, g> has order |K| m, m the order of gK, when g normalizes K: that
+    # is the new bound, the chain stops there, and it is the chain a full
+    # build from the same generators gives
+    K = build()
+    assert normalizing_map_check(K, g)
+    assert K.extend(g)
+    assert K.order() == K.order_bound == order
+    assert _chain_snapshot(K.chain) == _chain_snapshot(_Chain(K.degree, K.gens))
+    _assert_levels(K.chain)
+
+
+def test_extend_a40_by_odd_element_checks_no_schreier_pair(monkeypatch):
+    # an odd element of order 2310 = 2*3*5*7*11 normalizes A_40 with m = 2:
+    # the chain reaches 40! as the new generator is added, before any
+    # Schreier generator is checked
+    G = build_alternating(40)
+    assert G.order() == factorial(40) // 2
+    g = Permutation.from_cycles(40, [(0, 1), (2, 3, 4), range(5, 10), range(10, 17), range(17, 28)])
+    assert g.order() == 2310
+
+    def unchecked(chain, i):
+        raise AssertionError("a Schreier generator was checked")
+
+    monkeypatch.setattr(_Chain, "_unsifted_schreier", unchecked)
+    assert G.extend(g)
+    assert G.order() == G.order_bound == factorial(40)
+
+
+def test_trees_are_freed_without_the_cycle_collector():
+    # a step that held its tree's owner would make a reference cycle, and
+    # every chain and Schreier tree would wait for a collection to be freed
+    G = build_psl2(9)
+    orbit, images = orbit_with_transversal(G, (0, 1), index_set_action([g.images for g in G.gens]))
+    gc.disable()
+    try:
+        stab = schreier_stabilizer(G, orbit, images, on_orbit=True)[0]
+        chain = stab.chain
+        chain.sift(G.gens[0])
+        refs = [weakref.ref(chain), weakref.ref(chain.transversals[0]), weakref.ref(chain.inverses[0])]
+        del stab, chain
+        assert [r() for r in refs] == [None, None, None]
+        tree = _SchreierTree(G, images, 0)
+        edge = next(tree.revisits())
+        tree.generator(*edge), tree.orbit_generator(*edge)
+        refs = [weakref.ref(tree.entries), weakref.ref(tree.orbit_entries)]
+        del tree
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_extend_by_member_and_by_non_normalizing_element():
+    G = build_psl2(7)
+    R = G.rebased([7, 3])
+    assert R.order_bound == R.order() == 168
+    # a member: False, with the group and its bound unchanged
+    assert not R.extend(G.random_element(Random(3)))
+    assert R.gens == G.gens and R.order() == R.order_bound == 168
+    # a transposition of the projective line does not normalize PSL(2,7):
+    # no bound, and the chain is verified in full, to S8
+    t = Permutation([1, 0] + list(range(2, 8)))
+    assert not normalizing_map_check(R, t)
+    assert R.extend(t)
+    assert R.order_bound is None and R.order() == factorial(8)
+    assert _chain_snapshot(R.chain) == _chain_snapshot(_Chain(8, R.gens, base_hint=[7, 3]))
+    # below its bound, extend keeps it: here a point stabilizer of S5, grown
+    # by an element of it that does not normalize the group so far
+    H = PermGroup([parse_cycle_string("(1,2,3)", 5)], 5, order_bound=24)
+    assert H.extend(parse_cycle_string("(1,4)", 5))
+    assert H.order_bound == 24 == len(naive_closure(H.gens, 5)) == H.order()
+    # with no bound, a non-normalizing element gets none
+    H = PermGroup([parse_cycle_string("(1,2,3)", 5)], 5)
+    assert H.extend(parse_cycle_string("(1,4)", 5))
+    assert H.order_bound is None and H.order() == 24
 
 
 def imprimitivity_by_union_find(gens, alpha, delta):
