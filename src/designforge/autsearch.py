@@ -21,6 +21,21 @@ numbers so depend only on signature values, never on labels. Refinement
 runs on the rows of the structure's BlockTable, whose images check a
 candidate leaf, extend a generator to the blocks, and answer
 is_design_automorphism, fixes_every_block and lift_test_method1.
+
+A block's signature is its colour and the sorted colours of its points. A
+point's is its colour and the block colours it meets, in one of two
+encodings that rank alike: when every point meets fewer blocks than there
+are block colours, the row of its own incidences, nub - colour per block
+sorted descending (nub the number of block colours), padded with 0 to the
+most blocks any point meets; otherwise the dense count of each block
+colour. nauty, Traces and bliss likewise refine over the incidences a
+point has. On the 378-point PSL(2,27) coset designs, whose points meet 13
+of up to 380 block colours, the incidence rows took refine from 0.18 to
+0.06 s of the in-process examples command (cProfile, 2-core Xeon VM). A
+dense dual, such as (24,3)'s with 24 points of 28 336 blocks each, keeps
+the counts until its blocks split into more colours than that: 35 of the
+69 point rankings of the (24,3) search, the other 34 taking rows of 28 337
+columns in place of the 1 + nub the counts would take.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ import numpy as np
 
 from .design import IncidenceStructure, ReducedStructure
 from .errors import BudgetExceeded, InvalidGenerators
-from .group import PermGroup, lex_rank
+from .group import PermGroup, lex_rank, row_dtype
 from .perm import Permutation
 
 
@@ -75,6 +90,15 @@ class _Search:
         incident = table.rows < self.v
         self.pt_idx = table.rows[incident]
         self.blk_idx = np.nonzero(incident)[0]
+        # each incidence's place in its point's row of _incidence_rows, from
+        # the incidences grouped by point (a stable sort of narrow keys is a
+        # radix sort: 5 ms against 55 ms for int64 on 680 000 keys below 24,
+        # the size of the (24,3) dual's)
+        degree = np.bincount(self.pt_idx, minlength=self.v)
+        self.rmax = int(degree.max(initial=0))
+        by_point = np.argsort(self.pt_idx.astype(row_dtype(self.v)), kind="stable")
+        self.slot = np.empty_like(by_point)
+        self.slot[by_point] = np.arange(len(by_point)) - np.repeat(np.cumsum(degree) - degree, degree)
         self.bcolor0 = lex_rank(np.column_stack([incident.sum(axis=1), table.mult]))[0]
         self.pcolor0 = np.zeros(self.v, dtype=np.int64)
         # search state
@@ -102,17 +126,43 @@ class _Search:
             bsig = np.column_stack([bcolor, np.sort(pc_ext[self.table.rows], axis=1)])
             bcolor, bfirst = lex_rank(bsig)
             nub = len(bfirst)
-            psig = np.empty((self.v, 1 + nub), dtype=">u8")
-            psig[:, 0] = pcolor
-            psig[:, 1:] = np.bincount(
-                self.pt_idx * nub + bcolor[self.blk_idx], minlength=self.v * nub
-            ).reshape(self.v, nub)
+            # Both point encodings rank the rows alike. Take count vectors
+            # c > d, first differing at colour j: their incidence rows agree
+            # on the colours below j, then c's shows nub - j where d's shows
+            # a later colour's smaller value or the pad 0. Each encoding is
+            # one-to-one for a given nub, so colours, invariants and the
+            # search stay the same; the incidence rows are narrower when
+            # every point meets fewer blocks than there are block colours.
+            point_rows = self._incidence_rows if self.rmax < nub else self._count_rows
+            psig = point_rows(pcolor, bcolor, nub)
             pcolor, pfirst = lex_rank(psig)
             if len(pfirst) == ncp and nub == ncb:
                 break
             ncp, ncb = len(pfirst), nub
         inv = hash((ncp, ncb, psig[pfirst].tobytes(), bsig[bfirst].tobytes()))
         return pcolor, bcolor, inv
+
+    def _count_rows(self, pcolor, bcolor, nub):
+        """Point signatures as dense rows: the point's colour, then how many
+        of its blocks have each of the nub block colours."""
+        psig = np.empty((self.v, 1 + nub), dtype=">u8")
+        psig[:, 0] = pcolor
+        psig[:, 1:] = np.bincount(
+            self.pt_idx * nub + bcolor[self.blk_idx], minlength=self.v * nub
+        ).reshape(self.v, nub)
+        return psig
+
+    def _incidence_rows(self, pcolor, bcolor, nub):
+        """Point signatures from the points' incidences: the point's colour,
+        then nub - colour for each of its blocks, largest first, padded with
+        0 to rmax, the most blocks any point meets."""
+        neg = np.zeros((self.v, self.rmax), dtype=np.int64)
+        neg[self.pt_idx, self.slot] = bcolor[self.blk_idx] - nub
+        neg.sort(axis=1)
+        psig = np.empty((self.v, 1 + self.rmax), dtype=">u8")
+        psig[:, 0] = pcolor
+        psig[:, 1:] = -neg
+        return psig
 
     def individualize(self, pcolor, x):
         out = pcolor * 2

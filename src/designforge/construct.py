@@ -13,9 +13,11 @@ from .errors import InternalInconsistency
 from .group import (
     ElementTable,
     PermGroup,
+    RowIndex,
     conjugation_action,
     index_set_action,
     orbit_with_transversal,
+    row_dtype,
     schreier_stabilizer,
 )
 from .perm import Permutation
@@ -37,15 +39,27 @@ class CosetAction:
     """The action of G on the right cosets of a subgroup M, each named by its
     least element on M's chain built on G's base, which is a member of that
     coset. Faithful whenever G is simple and M is proper (kernel = core of
-    M = 1)."""
+    M = 1).
+
+    Elements go in as the rows of a 2-D int array of images, many at once:
+    points(rows) maps each row z to the point of the coset Mz, through
+    M's least_in_coset and a RowIndex over the least elements, and is the
+    one membership rule that induced_perm and fixed_point_count read."""
 
     subgroup: PermGroup
     group: PermGroup  # image of G in Sym(index)
-    index_of: dict  # least element u of a coset Mu -> its point
+    rows: np.ndarray  # row i: the least element of coset i
+    index: RowIndex  # over rows
 
-    def point(self, z: Permutation):
-        """The point of the coset Mz; None when z is not in G."""
-        return self.index_of.get(self.subgroup.chain.least_in_coset(z))
+    def points(self, rows):
+        """The point of the coset Mz for each row z of rows; -1 where z is
+        not in G."""
+        return self.index.find(self.subgroup.chain.least_in_coset(rows))
+
+    def _check_degree(self, g: Permutation):
+        # the rows index g's images, which a wider g would leave out of range
+        if g.degree != self.rows.shape[1]:
+            raise ValueError("degree mismatch: %d on cosets of a group of degree %d" % (g.degree, self.rows.shape[1]))
 
     def induced_perm(self, phi: Permutation):
         """Point permutation induced by a permutation phi normalizing G: the
@@ -53,18 +67,25 @@ class CosetAction:
         generator of M^phi. Then M^phi <= M^y, so the two are equal. None
         when no coset is fixed or phi does not normalize G. Each u and y is
         the least element of its coset."""
+        self._check_degree(phi)
         phinv = phi.inverse()
-        gens = [h.conjugate(phi, phinv) for h in self.subgroup.gens]
-        y = next((y for y, i in self.index_of.items() if all(self.point(y * h) == i for h in gens)), None)
-        if y is None:
+        cosets = np.arange(len(self.rows))
+        fixed = np.ones(len(self.rows), dtype=bool)
+        for h in self.subgroup.gens:
+            # u h^phi, one row per coset
+            fixed &= self.points(np.take(h.conjugate(phi, phinv).images, self.rows)) == cosets
+        if not fixed.any():
             return None
-        imgs = [self.point(y * u.conjugate(phi, phinv)) for u in self.index_of]
-        return None if None in imgs else Permutation(imgs)
+        y = self.rows[np.argmax(fixed)]
+        # y u^phi = y phi^-1 u phi, one row per coset
+        imgs = self.points(np.take(phi.images, self.rows[:, np.take(phinv.images, y)]))
+        return None if (imgs < 0).any() else Permutation(imgs.tolist())
 
     def fixed_point_count(self, g: Permutation) -> int:
         """1_M^G(g): the number of cosets Mu that g fixes, i.e. with Mug = Mu,
-        u the least element of its coset, each asked through point."""
-        return sum(self.point(u * g) == i for u, i in self.index_of.items())
+        u the least element of its coset."""
+        self._check_degree(g)
+        return int((self.points(np.take(g.images, self.rows)) == np.arange(len(self.rows))).sum())
 
 
 def coset_action(G: PermGroup, M: PermGroup) -> CosetAction:
@@ -72,17 +93,17 @@ def coset_action(G: PermGroup, M: PermGroup) -> CosetAction:
     element under right multiplication."""
     M = PermGroup(M.gens, G.degree, base_hint=G.chain.base)
     least = M.chain.least_in_coset
+    gens = [np.array(g.images, dtype=row_dtype(G.degree)) for g in G.gens]
 
     def on_cosets(rows, k):
-        g = G.gens[k]
-        return np.array([least(Permutation._trusted(tuple(u)) * g).images for u in rows.tolist()], rows.dtype)
+        return least(gens[k][rows])
 
-    orbit, images = orbit_with_transversal(G, least(G.identity()).images, on_cosets)
+    start = least(np.arange(G.degree, dtype=row_dtype(G.degree))[None, :])[0]
+    orbit, images = orbit_with_transversal(G, start, on_cosets)
     # an image of G: |G| bounds its order, and certifies it when the
     # action is faithful
     image = PermGroup([Permutation(col.tolist()) for col in images], len(orbit), order_bound=G.order())
-    index_of = {Permutation._trusted(tuple(u)): i for i, u in enumerate(orbit.tolist())}
-    return CosetAction(subgroup=M, group=image, index_of=index_of)
+    return CosetAction(subgroup=M, group=image, rows=orbit, index=RowIndex(orbit))
 
 
 # -- Method 1 ---------------------------------------------------------------

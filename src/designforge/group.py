@@ -32,10 +32,11 @@ with a known order; Seress, Permutation Group Algorithms, 2003, section
 Orbits are tables of rows: orbit_with_transversal runs Sims's orbit
 algorithm one breadth-first level at a time, acting on the whole frontier
 with each generator in one numpy step (conjugation_action on image rows,
-index_set_action on sorted index tuples, or a row-by-row function), and
-names new rows in the order the one-element-at-a-time loop would.  A class
-orbit is one uint8 array up to degree 256 (uint16 or int64 above), which
-ElementTable wraps as a sequence of Permutations without copying.
+index_set_action on sorted index tuples, or the coset action's least
+elements), and names new rows in the order the one-element-at-a-time loop
+would.  A class orbit is one uint8 array up to degree 256 (uint16 or int64
+above), which ElementTable wraps as a sequence of Permutations without
+copying.
 
 Many elements at once go through numpy: ElementTable conjugates its rows
 together, RowIndex finds rows by a hashed key checked in full, and
@@ -120,6 +121,11 @@ class _Chain:
     multiply to bound, an upper bound on the order. PermGroup.order_bound is
     the one place a bound is kept; rebased, schreier_stabilizer,
     construct.coset_action and PermGroup.extend set it (module docstring).
+
+    least_in_coset maps a whole table of image rows to the least elements
+    of their cosets, one level at a time, over arrays of each level's orbit
+    and entries that it builds once and drops when the chain grows;
+    construct.CosetAction names its cosets by it.
     """
 
     def __init__(self, degree, gens, base_hint=(), bound=None):
@@ -131,6 +137,7 @@ class _Chain:
         self.transversals = []  # level i: point -> perm mapping base[i] to point
         self.inverses = []  # level i: point -> inverse of its transversal entry
         self._checked = []  # level i: point -> how many level generators it has checked
+        self._coset_levels = None  # least_in_coset's arrays, dropped when the chain grows
         for b in base_hint:
             self._new_level(b)
         for g in gens:
@@ -201,6 +208,7 @@ class _Chain:
         """Add h, which fixes base[:level], to levels first..level."""
         if level == len(self.base):
             self._new_level(self._first_moved(h))
+        self._coset_levels = None
         hinv = h.inverse()
         for j in range(first, level + 1):
             self.level_gens[j].append(h)
@@ -251,15 +259,28 @@ class _Chain:
                 checked[pt] = k + 1
         return None
 
-    def least_in_coset(self, x):
-        """The least element of the right coset Hx, H this chain's group: the
-        one with lexicographically least base images. Each level moves x to
-        t * x, t the transversal entry whose point has the least image."""
-        for b, trans in zip(self.base, self.transversals):
-            p = min(trans, key=x.images.__getitem__)
-            if p != b:
-                x = trans[p] * x
-        return x
+    def least_in_coset(self, rows):
+        """The least element of each right coset Hx, H this chain's group and
+        x a row of the 2-D int array rows (its images): the element with
+        lexicographically least base images. Each level moves every x to
+        t * x, t the transversal entry whose point has the least image under
+        x, the rows of one level at a time.
+
+        The levels are read as arrays: for each level whose orbit is more
+        than its base point, the orbit points and the rows of their
+        transversal entries, every entry multiplied out. They are built on
+        the first call and kept until the chain grows."""
+        levels = self._coset_levels
+        if levels is None:
+            levels = self._coset_levels = [
+                (np.fromiter(trans, np.intp, len(trans)), np.array([trans[p].images for p in trans], dtype=np.intp))
+                for trans in self.transversals
+                if len(trans) > 1
+            ]
+        for pts, entries in levels:
+            t = entries[np.argmin(rows[:, pts], axis=1)]
+            rows = np.take_along_axis(rows, t, axis=1)
+        return rows
 
     def order(self):
         n = 1
@@ -477,8 +498,8 @@ def orbit_with_transversal(G: PermGroup, value, action, cap=DEFAULT_ORBIT_CAP):
 
     action(rows, k) gives the images of a 2-D int array of orbit rows under
     the generator G.gens[k], one row each: conjugation_action for
-    permutations, index_set_action for sorted tuples, or any function that
-    maps the rows one by one.
+    permutations, index_set_action for sorted tuples, or any function of
+    the rows, such as construct.coset_action's.
 
     Sims's orbit algorithm, one breadth-first level at a time: each
     generator acts on the whole frontier at once, and the images are

@@ -495,18 +495,49 @@ def induced_dual_point_gens(design):
     return out
 
 
+def coset_elements(ca):
+    """The least element of each coset of a coset action, in point order."""
+    return [Permutation(u) for u in ca.rows.tolist()]
+
+
+def least_in_coset_by_levels(M, x):
+    """The least element of the right coset Mx, the one with
+    lexicographically least images of the base of M's chain, one element at
+    a time: each level moves x to t * x, t the transversal entry whose point
+    x sends lowest."""
+    chain = M.chain
+    for b, trans in zip(chain.base, chain.transversals):
+        p = min(trans, key=x.images.__getitem__)
+        if p != b:
+            x = trans[p] * x
+    return x
+
+
+def least_in_coset_by_elements(M, x):
+    """The least element of Mx found by listing every element of M."""
+    base = M.chain.base
+    return min((h * x for h in M.elements()), key=lambda y: [y.images[b] for b in base])
+
+
+def coset_points_by_levels(ca, zs):
+    """The point of the coset Mz of each permutation z, found by its least
+    element in a dict; -1 where that is no coset's least element."""
+    index = {u: i for i, u in enumerate(coset_elements(ca))}
+    return [index.get(least_in_coset_by_levels(ca.subgroup, z), -1) for z in zs]
+
+
 def coset_fixed_points_by_conjugation(ca, g):
     """Cosets Mu of a coset action fixed by g, counted as the conjugates
     M^u, u the least element of each coset, that contain g; each conjugate
     is built by conjugating every element of M."""
     elems = ca.subgroup.elements()
-    return sum(g in {x.conjugate(u) for x in elems} for u in ca.index_of)
+    return sum(g in {x.conjugate(u) for x in elems} for u in coset_elements(ca))
 
 
 def coset_fixed_points_by_sifting(ca, g):
     """Cosets Mu fixed by g, counted as the least elements u with u g u^-1
     in M, each tested by a sift through M's chain."""
-    return sum(g.conjugate(u.inverse(), u) in ca.subgroup for u in ca.index_of)
+    return sum(g.conjugate(u.inverse(), u) in ca.subgroup for u in coset_elements(ca))
 
 
 def induced_perm_by_normalizer_scan(ca, phi):
@@ -516,12 +547,12 @@ def induced_perm_by_normalizer_scan(ca, phi):
     element."""
     M = ca.subgroup
     phinv = phi.inverse()
-    y = next((y for y in ca.index_of if normalizing_map_check(M, y * phinv)), None)
+    elems = coset_elements(ca)
+    y = next((y for y in elems if normalizing_map_check(M, y * phinv)), None)
     if y is None:
         return None
-    least = M.chain.least_in_coset
-    imgs = [ca.index_of.get(least(y * u.conjugate(phi, phinv))) for u in ca.index_of]
-    return None if None in imgs else Permutation(imgs)
+    imgs = coset_points_by_levels(ca, [y * u.conjugate(phi, phinv) for u in elems])
+    return None if -1 in imgs else Permutation(imgs)
 
 
 def coset_action_by_conjugation(G, M):

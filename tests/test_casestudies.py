@@ -1,5 +1,6 @@
 import pytest
 
+from designforge import casestudies
 from designforge.atlas import (
     build_alternating,
     build_psl2,
@@ -193,3 +194,27 @@ def test_small_designs():
     assert out["natural"]["aut_order"] == 720
     assert out["cosets15"]["aut_order"] == 20160
     assert "aut_order" not in out["cosets120"]  # stretch not requested
+
+
+def test_search_node_counts_are_pinned(monkeypatch, design_22_3):
+    # the nodes of every automorphism search the examples command and the
+    # (22,3) and (24,2) rows run, as recorded before the point signatures
+    # were built from each point's incidences; a change of encoding that
+    # ranks the points differently would show here
+    nodes = []
+
+    def recorded(*args, **kwargs):
+        res = aut_group(*args, **kwargs)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(casestudies, "aut_group", recorded)
+    run_coset_orbit_family()
+    assert nodes == [4] * 10 + [8, 4, 4]
+    nodes.clear()
+    run_small_designs(stretch_budget=10**5)
+    assert nodes == [7, 6, 10]
+    nodes.clear()
+    run_mathieu_row(22, 3, design=design_22_3)
+    run_mathieu_row(24, 2)
+    assert nodes == [9, 26]

@@ -1,5 +1,6 @@
 from random import Random
 
+import numpy as np
 import pytest
 
 from designforge.atlas import (
@@ -30,10 +31,14 @@ from oracles import (
     block_orbit_bfs,
     conjugacy_class,
     coset_action_by_conjugation,
+    coset_elements,
     coset_fixed_points_by_conjugation,
     coset_fixed_points_by_sifting,
+    coset_points_by_levels,
     faithfulness_check,
     induced_perm_by_normalizer_scan,
+    least_in_coset_by_elements,
+    least_in_coset_by_levels,
     scalar_orbit,
 )
 
@@ -85,8 +90,7 @@ def test_coset_action_matches_index():
     assert ca.group.degree == G.order() // M.order() == 15
     assert ca.group.is_transitive()
     # point 0 is M itself, named by its least element
-    start = next(x for x, i in ca.index_of.items() if i == 0)
-    assert start in M
+    assert Permutation(ca.rows[0].tolist()) in M
 
 
 def test_coset_action_large_subgroup():
@@ -171,11 +175,63 @@ def test_coset_orbit_matches_scalar_loop(pair):
     # cosets in the scalar loop's order, with the same generator tables
     G, M = pair()
     ca = coset_action(G, M)
-    least = ca.subgroup.chain.least_in_coset
-    orbit, index, tables = scalar_orbit(G, least(G.identity()), lambda v, g, ginv: least(v * g))
-    assert list(ca.index_of) == orbit
-    assert list(ca.index_of.values()) == list(range(len(orbit)))
+    M = ca.subgroup
+    start = least_in_coset_by_levels(M, G.identity())
+    orbit, index, tables = scalar_orbit(G, start, lambda v, g, ginv: least_in_coset_by_levels(M, v * g))
+    assert coset_elements(ca) == orbit
+    assert ca.points(ca.rows).tolist() == list(range(len(orbit)))
     assert [g.images for g in ca.group.gens] == tables
+
+
+@pytest.mark.parametrize("pair", [_psl27_normalizer, _a5_c5, _a9_pgammal, _psl25_pgl5, _a6_second_s4])
+def test_coset_points_match_scalar_least_elements(pair):
+    # points on one table of rows: members of G, their products with
+    # elements of M (same coset, same point), a transposition (outside each
+    # of these groups) and random permutations, against the least element
+    # found one element and one level at a time
+    G, M = pair()
+    ca = coset_action(G, M)
+    rng = Random(4)
+    n = G.degree
+    members = list(G.gens) + [G.random_element(rng) for _ in range(16)]
+    shifted = [h * x for x in members[:4] for h in ca.subgroup.gens]
+    outside = [Permutation.from_cycles(n, [(0, 1)])] + [Permutation(rng.sample(range(n), n)) for _ in range(6)]
+    zs = members + shifted + outside
+    found = ca.points(np.array([z.images for z in zs])).tolist()
+    assert found == coset_points_by_levels(ca, zs)
+    assert min(found[: len(members)]) >= 0
+    assert found[len(members) : len(members) + len(shifted)] == [
+        found[i] for i in range(4) for _ in ca.subgroup.gens
+    ]
+    assert found[len(members) + len(shifted)] == -1
+
+
+def test_coset_lookups_reject_other_degree():
+    G, M = _a5_c5()
+    ca = coset_action(G, M)
+    for n in (4, 6, 300):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            ca.fixed_point_count(Permutation.identity(n))
+        with pytest.raises(ValueError, match="degree mismatch"):
+            ca.induced_perm(Permutation.identity(n))
+
+
+@pytest.mark.parametrize("pair", [_a5_c5, _a6_second_s4, _psl25_pgl5])
+def test_least_in_coset_matches_listing_the_subgroup(pair):
+    # the batched least elements against the least of all of Mx by base
+    # images, and the scalar walk against both; then again after the chain
+    # grows, which drops the arrays built for the smaller group
+    G, M = pair()
+    rng = Random(6)
+    n = G.degree
+    xs = [G.random_element(rng) for _ in range(6)] + [Permutation(rng.sample(range(n), n)) for _ in range(4)]
+    K = PermGroup(M.gens[:-1], G.degree, base_hint=G.chain.base)
+    for grow in (False, True):
+        if grow:
+            assert K.extend(M.gens[-1])
+        expected = [least_in_coset_by_elements(K, x) for x in xs]
+        assert K.chain.least_in_coset(np.array([x.images for x in xs])).tolist() == [list(y.images) for y in expected]
+        assert [least_in_coset_by_levels(K, x) for x in xs] == expected
 
 
 def test_coset_fixed_points_match_oracles_psl25():

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -124,6 +124,33 @@ def test_refine_matches_structured_oracle(structure):
     for i in range(len(new_invs)):
         for j in range(len(new_invs)):
             assert (new_invs[i] == new_invs[j]) == (old_invs[i] == old_invs[j])
+
+
+@seed(21)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_point_signatures_rank_alike(data):
+    # a point's incidence row (nub - colour of each of its blocks, largest
+    # first, padded with 0) and its dense row of block-colour counts rank
+    # the points alike, on ragged and repeated blocks and points in no block,
+    # with nub above rmax (where refine takes the incidence rows) and at or
+    # below it (where it takes the counts)
+    used = data.draw(st.integers(1, 8))
+    v = used + data.draw(st.integers(0, 3))  # points past `used` lie in no block
+    block = st.lists(st.integers(0, used - 1), min_size=1, max_size=used, unique=True)
+    blocks = data.draw(st.lists(block, min_size=1, max_size=12))
+    blocks += data.draw(st.lists(st.sampled_from(blocks), max_size=3))
+    search = _Search(IncidenceStructure(v, blocks), budget=1)
+    rmax = search.rmax
+    above = data.draw(st.booleans())
+    nub = data.draw(st.integers(rmax + 1, rmax + 4) if above else st.integers(1, max(rmax, 1)))
+    bcolor = np.array(data.draw(st.lists(st.integers(0, nub - 1), min_size=search.nb, max_size=search.nb)))
+    pcolor = np.array(data.draw(st.lists(st.integers(0, 2), min_size=v, max_size=v)))
+    incidence = search._incidence_rows(pcolor, bcolor, nub)
+    counts = search._count_rows(pcolor, bcolor, nub)
+    assert incidence.shape == (v, 1 + rmax)
+    for got, want in zip(lex_rank(incidence), lex_rank(counts)):
+        assert np.array_equal(got, want)
 
 
 @settings(max_examples=200, deadline=None)
