@@ -6,10 +6,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
+import os
 import shutil
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+
+# designforge makes no BLAS call (its one matmul is on uint64, which numpy
+# never sends to BLAS), yet numpy's bundled OpenBLAS starts a worker thread
+# per extra core when it loads, and on a 2-core VM that idle thread spun for
+# 0.12-0.14 s of CPU per command. One thread starts none; a value already in
+# the environment wins. Set here, before the first import of numpy, and not
+# in the library modules, whose users keep their own numpy configuration.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import casestudies
 from .atlas import (
@@ -409,8 +419,17 @@ def _parser(command=None):
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    With argv None the command line is the process's own (the designforge
+    console script and python -m designforge.cli): everything alive then
+    lives until exit, so it is frozen out of the garbage collector, and
+    the full collection at interpreter exit, about 20 ms, skips it. A
+    caller that passes argv, as the tests and perfbench/tracer.py do,
+    leaves the collector as it was."""
     if argv is None:
         argv = sys.argv[1:]
+        gc.freeze()
     args = _parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)

@@ -1,6 +1,11 @@
 import dataclasses
+import gc
 import json
+import os
+import subprocess
+import sys
 from argparse import Namespace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +301,50 @@ def test_emit_rejects_numpy_scalars(capsys):
     args = Namespace(seed=0, format="json", report=None)
     with pytest.raises(TypeError):
         cli._emit(args, {"command": "x", "lambda_t": np.int64(3), "claims": []})
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def fresh_python(*argv, env=None):
+    """Run a fresh interpreter on this checkout's sources, with
+    OPENBLAS_NUM_THREADS taken out of the environment unless env sets it."""
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full.update(env or {}, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *argv], env=full, capture_output=True, text=True, check=True)
+
+
+PROBE = (
+    "import os, designforge.cli; "
+    "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None; "
+    "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)"
+)
+
+
+def test_cli_import_starts_no_blas_threads():
+    # numpy's OpenBLAS starts its workers when numpy loads; the CLI module
+    # asks for one thread first, so the process has no thread but its own
+    value, tasks = fresh_python("-c", PROBE).stdout.split()
+    assert value == "1"
+    assert tasks in ("1", "None")
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    value, _ = fresh_python("-c", PROBE, env={"OPENBLAS_NUM_THREADS": "2"}).stdout.split()
+    assert value == "2"
+
+
+def test_process_command_line_writes_the_in_process_report(tmp_path, capsys):
+    # python -m designforge.cli reads the process's own argv and freezes the
+    # collector; the report is the one main(argv) writes in-process
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    fresh_python("-m", "designforge.cli", "psl2", "--q", "3", "--report", str(a))
+    assert main(["psl2", "--q", "3", "--report", str(b)]) == 0
+    capsys.readouterr()
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_main_with_argv_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["psl2", "--q", "3"]) == 0
+    assert gc.get_freeze_count() == before
