@@ -8,11 +8,20 @@ path invariants and by orbits of the automorphisms found so far.
 A caller that already holds automorphisms passes them as a group, `known`
 (for a design built by a group action, that group). Each of its generators
 is checked to be an automorphism, and at the first leaf the search group
-becomes `known` rebuilt on the first path as its base, so orbit pruning
-starts from it rather than from the trivial group: the known-subgroup
-pruning of nauty and Traces (McKay & Piperno, "Practical graph
-isomorphism, II", 2014). Pruning by the orbits of any group of
+becomes `known` rebased on the first path, so orbit pruning starts from it
+rather than from the trivial group: the known-subgroup pruning of nauty and
+Traces (McKay & Piperno, "Practical graph isomorphism, II", 2014). The
+rebase keeps `known`'s levels on the base prefix the first path shares
+with its base, and builds only the rest (PermGroup.rebased): a first path
+that starts at the first base point, as every one of the examples command
+does, keeps that level of 378 points. Pruning by the orbits of any group of
 automorphisms is sound, so a complete search still finds all of Aut(D).
+
+Refinement alternates a block step and a point step and stops at the first
+step after the first block step that splits nothing; the argument is at the
+loop in _Search.refine. The invariant is the one a last round that splits
+nothing would give, so node counts stay those of a refinement that always
+ends with such a round.
 
 Refinement ranks integer signature tables with group.lex_rank: rows of
 non-negative integers, written as big-endian words and ranked as one np.void
@@ -77,6 +86,13 @@ class _Budget(Exception):
     pass
 
 
+def _renumbered(rows):
+    """Signature rows, one per colour in colour order, with their colour
+    column set to the colours they were ranked to."""
+    rows[:, 0] = np.arange(len(rows))
+    return rows
+
+
 class _Search:
     """One backtracking run over individualized point colorings."""
 
@@ -105,8 +121,9 @@ class _Search:
         self.first_invs = {}
         self.first_base = []
         self.first_leaf = None
-        # automorphisms known or found so far; at the first leaf it takes the
-        # first path as its base, so each depth's stabilizer is a level of its chain
+        # automorphisms known or found so far; at the first leaf it is rebased
+        # on the first path, keeping the levels on the base prefix the two
+        # share, so each depth's stabilizer is a level of its chain
         self.group = PermGroup([], self.v) if known is None else known
         self._stab_cache = {}
 
@@ -119,12 +136,19 @@ class _Search:
             raise _Budget()
         pcolor = np.unique(pcolor, return_inverse=True)[1].ravel()
         bcolor = np.unique(bcolor, return_inverse=True)[1].ravel()
-        ncp, ncb = pcolor.max() + 1, bcolor.max() + 1
+        ncp = pcolor.max() + 1
+        bcolor, bsig, bfirst = self._block_step(pcolor, bcolor)
+        # Alternate point and block steps, and stop at the first step, after
+        # the first block step, that splits nothing: the colouring is then
+        # stable. A point step cannot split when the block colours have not
+        # changed since the previous point step, nor a block step when the
+        # point colours have not changed since the previous block step; so
+        # after a step that split nothing, the other splits nothing either.
+        # The invariant hashes the rows that a round splitting nothing in
+        # both steps would rank: those of the step that split nothing, and
+        # those of the step before it with their colour column renumbered
+        # to the colours that step gave.
         while True:
-            # point colors shifted by one, so that the pad, 0, sorts first
-            pc_ext = np.append(pcolor + 1, 0)
-            bsig = np.column_stack([bcolor, np.sort(pc_ext[self.table.rows], axis=1)])
-            bcolor, bfirst = lex_rank(bsig)
             nub = len(bfirst)
             # Both point encodings rank the rows alike. Take count vectors
             # c > d, first differing at colour j: their incidence rows agree
@@ -136,11 +160,26 @@ class _Search:
             point_rows = self._incidence_rows if self.rmax < nub else self._count_rows
             psig = point_rows(pcolor, bcolor, nub)
             pcolor, pfirst = lex_rank(psig)
-            if len(pfirst) == ncp and nub == ncb:
+            if len(pfirst) == ncp:
+                psig, bsig = psig[pfirst], _renumbered(bsig[bfirst])
                 break
-            ncp, ncb = len(pfirst), nub
-        inv = hash((ncp, ncb, psig[pfirst].tobytes(), bsig[bfirst].tobytes()))
+            ncp = len(pfirst)
+            bcolor, bsig, bfirst = self._block_step(pcolor, bcolor)
+            if len(bfirst) == nub:
+                psig, bsig = _renumbered(psig[pfirst]), bsig[bfirst]
+                break
+        inv = hash((ncp, nub, psig.tobytes(), bsig.tobytes()))
         return pcolor, bcolor, inv
+
+    def _block_step(self, pcolor, bcolor):
+        """A block's signature, its colour and the sorted colours of its
+        points, ranked: (the new block colours, the signature rows, the
+        first row of each colour)."""
+        # point colors shifted by one, so that the pad, 0, sorts first
+        pc_ext = np.append(pcolor + 1, 0)
+        bsig = np.column_stack([bcolor, np.sort(pc_ext[self.table.rows], axis=1)])
+        bcolor, bfirst = lex_rank(bsig)
+        return bcolor, bsig, bfirst
 
     def _count_rows(self, pcolor, bcolor, nub):
         """Point signatures as dense rows: the point's colour, then how many
@@ -171,14 +210,14 @@ class _Search:
 
     def target_cell(self, pcolor):
         """Members of the smallest (then least-colored) non-singleton point
-        cell, or None when the point coloring is discrete."""
-        colors, counts = np.unique(pcolor, return_counts=True)
-        mask = counts > 1
-        if not mask.any():
+        cell, or None when the point coloring is discrete; pcolor holds the
+        dense colours refine gives."""
+        counts = np.bincount(pcolor)
+        counts[counts < 2] = self.v + 1
+        c = int(np.argmin(counts))
+        if counts[c] > self.v:
             return None
-        idx = np.lexsort((colors[mask], counts[mask]))[0]
-        c = colors[mask][idx]
-        return [int(x) for x in np.flatnonzero(pcolor == c)]
+        return np.flatnonzero(pcolor == c).tolist()
 
     # -- candidate handling -------------------------------------------------
 

@@ -13,6 +13,10 @@ generator is the identity, is skipped.  The chain is built
 deterministically: base points are chosen greedily as the first point moved
 by each new strong generator, orbits are extended breadth-first in insertion
 order.  Identical generator lists therefore always produce identical chains.
+A rebased chain keeps copies of the old chain's levels on the base prefix
+the two share, and only the levels after it are built, from the generators
+of the stabilizer of that prefix (_Chain.shared_prefix); with no point
+shared, it is the chain its generator list and base points give.
 
 PermGroup.order_bound is the one place an order is certified or bounded: a
 number the group's order does not exceed, at which Schreier-Sims stops.  The
@@ -22,7 +26,10 @@ with a known order; Seress, Permutation Group Algorithms, 2003, section
 4.5).  Four callers set it:
   - PermGroup.rebased, to the group's own order, which its chain certifies;
     pointwise stabilizers off the group's base and the automorphism
-    search's known group are rebuilt this way;
+    search's known group are rebuilt this way, each below the base prefix
+    it shares with the group's chain: the searches of the examples command
+    start where their known group's base does, and keep its first level of
+    378 points;
   - schreier_stabilizer, to |G| / |orbit| by orbit-stabilizer;
   - construct.coset_action, to |G|, which bounds the order of any image of
     G; an unfaithful action never reaches it and runs the full check;
@@ -112,8 +119,8 @@ class _Chain:
     transversals[i] and inverses[i] read the entries that map base[i] to
     each orbit point, and their inverses, off that tree, each multiplied out
     when first read: the 13 chains on 378 points that the examples command
-    rebuilds for its automorphism searches multiply out 491 of their 5114
-    entries.
+    rebases for its automorphism searches copy their first level and, of the
+    346 entries and inverses of the levels they build, multiply out 92.
 
     A level only grows: its tree keeps every point it has, and each (orbit
     point, level generator) pair is checked as a Schreier generator once.
@@ -138,10 +145,16 @@ class _Chain:
         self.inverses = []  # level i: point -> inverse of its transversal entry
         self._checked = []  # level i: point -> how many level generators it has checked
         self._coset_levels = None  # least_in_coset's arrays, dropped when the chain grows
-        for b in base_hint:
+        self._build(gens, base_hint, bound)
+
+    def _build(self, gens, base_hint, bound, first=0):
+        """New levels on base_hint[first:] below the first levels, then the
+        generators gens added by Schreier-Sims that stops at bound; with
+        first > 0 they generate the stabilizer of base[:first]."""
+        for b in base_hint[first:]:
             self._new_level(b)
         for g in gens:
-            self.extend(g, bound)
+            self.extend(g, bound, first)
 
     def _first_moved(self, g):
         for i, j in enumerate(g.images):
@@ -161,6 +174,19 @@ class _Chain:
                 if img not in tree:
                     tree[img] = (pt, k)
                     queue.append(img)
+
+    def _copy_level(self, chain, i):
+        """Append a copy of level i of chain: its base point, generators and
+        inverses, Schreier tree, kept products and checked counts, in lists
+        and dicts of its own, so that growing either chain leaves the other
+        as it was."""
+        self._new_level(chain.base[i])
+        self.level_gens[-1].extend(chain.level_gens[i])
+        self.level_invs[-1].extend(chain.level_invs[i])
+        self.trees[-1].update(chain.trees[i])
+        self.transversals[-1].known.update(chain.transversals[i].known)
+        self.inverses[-1].known.update(chain.inverses[i].known)
+        self._checked[-1].update(chain._checked[i])
 
     def _new_level(self, point):
         identity = Permutation.identity(self.degree)
@@ -194,15 +220,41 @@ class _Chain:
             h = h * inv
         return h, len(self.base)
 
-    def extend(self, g, bound) -> bool:
+    def extend(self, g, bound, first=0) -> bool:
         """Add the generator g; False, with the chain unchanged, when g is
-        already a member. Schreier-Sims stops when the order reaches bound."""
-        residue, level = self.sift(g)
+        already a member. Schreier-Sims stops when the order reaches bound.
+
+        With first > 0, g fixes base[:first], and levels 0..first-1 are
+        already complete for a group that holds g: g joins only the levels
+        from first on, and only those are verified."""
+        residue, level = self.sift(g, first)
         if residue.is_identity():
             return False
-        self._add(residue, 0, level)
-        self._verify(level, bound)
+        self._add(residue, first, level)
+        self._verify(level, bound, first)
         return True
+
+    def shared_prefix(self, points):
+        """What a chain of this group whose base starts with points keeps
+        of this one: None when the two bases share no first point, else
+        (a chain of copies of this chain's levels on the prefix that the
+        bases share, the generators of the next level, the stabilizer of
+        that prefix), for _build to complete on points.
+
+        The stabilizer of the prefix is the same group in both chains, so
+        each copied level keeps its checked counts: a Schreier pair that
+        sifted through this chain's levels below it sifts through the new
+        ones. Its copies share no list or dict with this chain, so growing
+        either chain leaves the other as it was."""
+        p = 0
+        while p < min(len(points), len(self.base)) and points[p] == self.base[p]:
+            p += 1
+        if not p:
+            return None
+        chain = _Chain(self.degree, ())
+        for i in range(p):
+            chain._copy_level(self, i)
+        return chain, list(self.level_gens[p]) if p < len(self.base) else []
 
     def _add(self, h, first, level):
         """Add h, which fixes base[:level], to levels first..level."""
@@ -215,16 +267,16 @@ class _Chain:
             self.level_invs[j].append(hinv)
             self._orbit(j)
 
-    def _verify(self, i, bound):
-        """Schreier-Sims from level i up to level 0: every Schreier generator
-        of a level must sift through the levels below it.
+    def _verify(self, i, bound, first=0):
+        """Schreier-Sims from level i up to level first: every Schreier
+        generator of a level must sift through the levels below it.
 
         It stops once the transversal lengths multiply to bound, an upper
         bound on |G|. Each level's orbit lies in the true fundamental orbit,
         so the product never exceeds |G|, and when it equals the bound, it
         equals |G| and every level's generators generate the true
         stabilizer: the pairs left unchecked would all sift."""
-        while i >= 0:
+        while i >= first:
             if bound is not None and self.order() == bound:
                 return
             found = self._unsifted_schreier(i)
@@ -312,12 +364,18 @@ class PermGroup:
         self._base_hint = tuple(base_hint)
         self.order_bound = order_bound
         self._chain = None
+        self._prefix = None  # rebased's start for the chain, _Chain.shared_prefix
         self.recipe = None  # a GroupRecipe when the atlas built the group
 
     @property
     def chain(self) -> _Chain:
         if self._chain is None:
-            self._chain = _Chain(self.degree, self.gens, self._base_hint, self.order_bound)
+            if self._prefix is None:
+                self._chain = _Chain(self.degree, self.gens, self._base_hint, self.order_bound)
+            else:
+                chain, gens = self._prefix
+                chain._build(gens, self._base_hint, self.order_bound, len(chain.base))
+                self._chain, self._prefix = chain, None
         return self._chain
 
     def order(self) -> int:
@@ -384,14 +442,21 @@ class PermGroup:
         return not self.orbit_minima().any()
 
     def rebased(self, points) -> "PermGroup":
-        """This group on a chain whose base starts with points, built by
-        Schreier-Sims that stops at this group's order, which its own chain
-        certifies."""
-        return PermGroup(self.gens, self.degree, base_hint=points, order_bound=self.order())
+        """This group on a chain whose base starts with points. The chain
+        keeps copies of this group's levels on the prefix that its base and
+        points share, and is built, when first read, on the rest of points
+        by Schreier-Sims from the stabilizer of that prefix (all of this
+        group when they share no point), which stops at this group's order,
+        certified by its own chain. Extending either group afterwards leaves
+        the other as it was."""
+        G = PermGroup(self.gens, self.degree, base_hint=points, order_bound=self.order())
+        G._prefix = self.chain.shared_prefix(points)
+        return G
 
     def pointwise_stabilizer(self, points) -> "PermGroup":
         """Subgroup fixing every listed point: a level of this group's chain
-        when its base starts with the points, else of its rebased chain."""
+        when its base starts with the points, else of its rebased chain,
+        which keeps the levels on the prefix the two share."""
         points = list(points)
         chain = self.chain
         if chain.base[: len(points)] != points:

@@ -7,7 +7,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from designforge.atlas import (
@@ -523,6 +523,107 @@ def test_chain_digests(build, digest, rebased_digest):
     G = build()
     assert _chain_digest(G) == digest
     assert _chain_digest(G.rebased([G.degree - 1, 3])) == rebased_digest
+
+
+def test_prefix_sharing_rebase_digest():
+    # PSL(2,27) rebased on its own first base point and 5: the first level
+    # is copied, and the rest built from that level's generators
+    G = build_psl2(27)
+    assert _chain_digest(G.rebased(G.chain.base[:1] + [5])) == "7c6bb71e494dd525"
+
+
+ATLAS_GROUPS = [
+    lambda: build_psl2(7),
+    lambda: build_psl2(8),
+    lambda: build_psl2(9),
+    lambda: build_alternating(7),
+    lambda: build_symmetric(6),
+    m11,
+    lambda: mathieu_group(22),
+]
+
+
+def _groups_and_points():
+    """A group from the atlas or one generated by random permutations of at
+    most 9 points, and a point list whose first 1 or 2 points are the
+    first of the group's base and whose next point, if any, is not."""
+
+    @st.composite
+    def draw(draw):
+        if draw(st.booleans()):
+            G = draw(st.sampled_from(ATLAS_GROUPS))()
+        else:
+            n = draw(st.integers(2, 9))
+            perms = st.lists(st.permutations(list(range(n))), min_size=1, max_size=3)
+            G = PermGroup([Permutation(p) for p in draw(perms)], n)
+        base = G.chain.base
+        assume(base)
+        p = draw(st.integers(1, min(2, len(base))))
+        rest = [x for x in range(G.degree) if x not in base[: p + 1]]
+        return G, base[:p] + draw(st.lists(st.sampled_from(rest), unique=True, max_size=3))
+
+    return draw()
+
+
+def _orbit_sets(chain):
+    return [set(tree) for tree in chain.trees]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_groups_and_points(), st.integers(0, 2**32))
+def test_prefix_sharing_rebase_matches_full_build(case, seed):
+    # a rebase that copies the levels on the shared base prefix agrees
+    # with a chain built in full on the same points: base and orbits on
+    # the given points, order, and members. Past the given
+    # points, Schreier-Sims picks base points as the first points its
+    # residues move, which need not be a full build's (base [0, 2, 1, 5,
+    # 4, 3] against [0, 2, 1, 5, 3, 4] on points [0, 2]); a full build on
+    # the rebased chain's whole base gives its every orbit
+    G, points = case
+    R = G.rebased(points)
+    full = _Chain(G.degree, G.gens, base_hint=points)
+    k = len(points)
+    assert R.chain.base[:k] == full.base[:k] == points
+    assert _orbit_sets(R.chain)[:k] == _orbit_sets(full)[:k]
+    assert _orbit_sets(R.chain) == _orbit_sets(_Chain(G.degree, G.gens, base_hint=R.chain.base))
+    assert R.order() == full.order() == G.order()
+    rng = Random(seed)
+    members = [G.random_element(rng) for _ in range(20)]
+    # 20 non-members of 400 random permutations, or as many as there are
+    others = (Permutation(rng.sample(range(G.degree), G.degree)) for _ in range(400))
+    others = [x for x in others if x not in G][:20]
+    assert all(x in R for x in members)
+    assert not any(x in R for x in others)
+    _assert_levels(R.chain)
+
+
+@pytest.mark.parametrize("build", [lambda: build_psl2(27), m11, lambda: build_alternating(7)], ids=["PSL(2,27)", "M11", "A7"])
+def test_rebased_chains_share_nothing(build):
+    # a rebase copies the levels it keeps: extending the rebased group
+    # leaves the group's chain as it was, and extending the group leaves
+    # the rebased chain as it was
+    G = build()
+    points = G.chain.base[:2] + [x for x in range(G.degree) if x not in G.chain.base[:3]][:1]
+    outsider = Permutation(list(range(1, G.degree)) + [0])
+    if outsider in G:
+        outsider = Permutation([1, 0] + list(range(2, G.degree)))
+    assert outsider not in G
+    before = _chain_snapshot(G.chain)
+    R = G.rebased(points)
+    assert R.extend(outsider)
+    _assert_levels(R.chain)
+    assert _chain_snapshot(G.chain) == before
+    R = G.rebased(points)
+    rebased = _chain_snapshot(R.chain)
+    assert G.extend(outsider)
+    _assert_levels(G.chain)
+    assert _chain_snapshot(R.chain) == rebased
+    # a rebase read only after its group grew keeps the levels it copied
+    R = build().rebased(points)
+    G = build()
+    S = G.rebased(points)
+    assert G.extend(outsider)
+    assert _chain_snapshot(S.chain) == _chain_snapshot(R.chain)
 
 
 def test_coset_image_chain_digest():

@@ -126,6 +126,56 @@ def test_refine_matches_structured_oracle(structure):
             assert (new_invs[i] == new_invs[j]) == (old_invs[i] == old_invs[j])
 
 
+def _drawn_structure(data):
+    """A small structure with ragged and repeated blocks, and points in no
+    block."""
+    used = data.draw(st.integers(1, 8))
+    v = used + data.draw(st.integers(0, 3))  # points past `used` lie in no block
+    block = st.lists(st.integers(0, used - 1), min_size=1, max_size=used, unique=True)
+    blocks = data.draw(st.lists(block, min_size=1, max_size=12))
+    blocks += data.draw(st.lists(st.sampled_from(blocks), max_size=3))
+    return IncidenceStructure(v, blocks)
+
+
+@seed(24)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refine_matches_structured_oracle_on_random_structures(data):
+    # refine stops at the first step that splits nothing: from drawn
+    # colourings, and from each of those individualized at every point of
+    # its target cell as the search does, it gives the oracle's colours,
+    # and invariants that compare equal exactly when the oracle's do. The
+    # invariant depends on the stable colouring alone, however refine got
+    # there: refining it again gives it back, with the same invariant
+    search = _Search(_drawn_structure(data), budget=10**6)
+    v, nb = search.v, search.nb
+    starts = [(search.pcolor0, search.bcolor0)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        pcolor = np.array(data.draw(st.lists(st.integers(0, 3), min_size=v, max_size=v)))
+        bcolor = np.array(data.draw(st.lists(st.integers(0, 2), min_size=nb, max_size=nb)))
+        starts.append((pcolor, search.bcolor0 * 3 + bcolor))
+    new_invs, old_invs = [], []
+
+    def check(pc0, bc0):
+        pc, bc, inv = search.refine(pc0, bc0)
+        opc, obc, oinv = refine_structured(search, pc0, bc0)
+        assert np.array_equal(pc, opc)
+        assert np.array_equal(bc, obc)
+        again = search.refine(pc, bc)
+        assert np.array_equal(again[0], pc) and np.array_equal(again[1], bc) and again[2] == inv
+        new_invs.append(inv)
+        old_invs.append(oinv)
+        return pc, bc
+
+    for pc0, bc0 in starts:
+        pc, bc = check(pc0, bc0)
+        for x in search.target_cell(pc) or ():
+            check(search.individualize(pc, x), bc)
+    for i in range(len(new_invs)):
+        for j in range(len(new_invs)):
+            assert (new_invs[i] == new_invs[j]) == (old_invs[i] == old_invs[j])
+
+
 @seed(21)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
@@ -135,12 +185,8 @@ def test_point_signatures_rank_alike(data):
     # the points alike, on ragged and repeated blocks and points in no block,
     # with nub above rmax (where refine takes the incidence rows) and at or
     # below it (where it takes the counts)
-    used = data.draw(st.integers(1, 8))
-    v = used + data.draw(st.integers(0, 3))  # points past `used` lie in no block
-    block = st.lists(st.integers(0, used - 1), min_size=1, max_size=used, unique=True)
-    blocks = data.draw(st.lists(block, min_size=1, max_size=12))
-    blocks += data.draw(st.lists(st.sampled_from(blocks), max_size=3))
-    search = _Search(IncidenceStructure(v, blocks), budget=1)
+    search = _Search(_drawn_structure(data), budget=1)
+    v = search.v
     rmax = search.rmax
     above = data.draw(st.booleans())
     nub = data.draw(st.integers(rmax + 1, rmax + 4) if above else st.integers(1, max(rmax, 1)))
