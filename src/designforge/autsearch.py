@@ -45,6 +45,10 @@ dense dual, such as (24,3)'s with 24 points of 28 336 blocks each, keeps
 the counts until its blocks split into more colours than that: 35 of the
 69 point rankings of the (24,3) search, the other 34 taking rows of 28 337
 columns in place of the 1 + nub the counts would take.
+Both encodings gather the block colours through one incidence index, each
+point's blocks padded with the number of blocks: design._incidence_rows,
+the one derivation of each point's blocks, which dual_design and
+reduce_design read too, builds it once per search from the table's rows.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ from math import factorial
 
 import numpy as np
 
-from .design import IncidenceStructure, ReducedStructure
+from .design import IncidenceStructure, ReducedStructure, _incidence_rows
 from .errors import BudgetExceeded, InvalidGenerators
-from .group import PermGroup, lex_rank, row_dtype
+from .group import PermGroup, lex_rank
 from .perm import Permutation
 
 
@@ -103,19 +107,10 @@ class _Search:
         # ragged blocks are padded with a virtual point of sentinel color
         self.table = table = D.table
         self.nb = len(table.rows)
-        incident = table.rows < self.v
-        self.pt_idx = table.rows[incident]
-        self.blk_idx = np.nonzero(incident)[0]
-        # each incidence's place in its point's row of _incidence_rows, from
-        # the incidences grouped by point (a stable sort of narrow keys is a
-        # radix sort: 5 ms against 55 ms for int64 on 680 000 keys below 24,
-        # the size of the (24,3) dual's)
-        degree = np.bincount(self.pt_idx, minlength=self.v)
-        self.rmax = int(degree.max(initial=0))
-        by_point = np.argsort(self.pt_idx.astype(row_dtype(self.v)), kind="stable")
-        self.slot = np.empty_like(by_point)
-        self.slot[by_point] = np.arange(len(by_point)) - np.repeat(np.cumsum(degree) - degree, degree)
-        self.bcolor0 = lex_rank(np.column_stack([incident.sum(axis=1), table.mult]))[0]
+        # each point's blocks in increasing order, padded with nb
+        self.incidence = _incidence_rows(table.rows, self.v)[0]
+        self.rmax = self.incidence.shape[1]
+        self.bcolor0 = lex_rank(np.column_stack([(table.rows < self.v).sum(axis=1), table.mult]))[0]
         self.pcolor0 = np.zeros(self.v, dtype=np.int64)
         # search state
         self.first_invs = {}
@@ -186,17 +181,17 @@ class _Search:
         of its blocks have each of the nub block colours."""
         psig = np.empty((self.v, 1 + nub), dtype=">u8")
         psig[:, 0] = pcolor
-        psig[:, 1:] = np.bincount(
-            self.pt_idx * nub + bcolor[self.blk_idx], minlength=self.v * nub
-        ).reshape(self.v, nub)
+        # each point's block colours, the pad as colour nub, offset by point
+        keys = np.append(bcolor, nub)[self.incidence]
+        keys += np.arange(self.v)[:, None] * (nub + 1)
+        psig[:, 1:] = np.bincount(keys.ravel(), minlength=self.v * (nub + 1)).reshape(self.v, nub + 1)[:, :nub]
         return psig
 
     def _incidence_rows(self, pcolor, bcolor, nub):
         """Point signatures from the points' incidences: the point's colour,
         then nub - colour for each of its blocks, largest first, padded with
         0 to rmax, the most blocks any point meets."""
-        neg = np.zeros((self.v, self.rmax), dtype=np.int64)
-        neg[self.pt_idx, self.slot] = bcolor[self.blk_idx] - nub
+        neg = np.append(bcolor - nub, 0)[self.incidence]
         neg.sort(axis=1)
         psig = np.empty((self.v, 1 + self.rmax), dtype=">u8")
         psig[:, 0] = pcolor

@@ -434,7 +434,9 @@ def run_psl_family(q: int):
                     # with replication 1 each point lies on a single block,
                     # so the intersection class is that whole block; the
                     # inverse pair is merely contained in it
-                    blk = next(row for row in design.design.rows.tolist() if x_idx in row)
+                    # the rows are sorted: the block through x_idx = 0 starts with it
+                    rows = design.design.rows
+                    blk = rows[rows[:, 0] == 0][0].tolist()
                     rec.claims.append(
                         claim("replication-one-class-is-block", blk, i_class)
                     )

@@ -178,13 +178,15 @@ def t_design_lambda(D: IncidenceStructure, t: int, budget: int = 10**8) -> int:
     raise NotTDesign((lo, hi), (tally[lo], tally[hi]))
 
 
-def _incidence_rows(D: IncidenceStructure):
-    """Per point, the indices of the blocks through it in increasing order,
-    as rows padded with b; and the number of blocks through each point."""
-    real = D.rows < D.v
-    points = D.rows[real]
-    degrees = np.bincount(points, minlength=D.v)
-    rows = np.full((D.v, degrees.max()), D.b, dtype=np.int64)
+def _incidence_rows(block_rows, v):
+    """Per point of [0, v), the indices of the block rows through it in
+    increasing order, as rows padded with len(block_rows); and the number of
+    blocks through each point. The one derivation of each point's blocks, for
+    dual_design, reduce_design and the automorphism search (autsearch._Search)."""
+    real = block_rows < v
+    points = block_rows[real]
+    degrees = np.bincount(points, minlength=v)
+    rows = np.full((v, degrees.max()), len(block_rows), dtype=np.int64)
     # a stable sort by point keeps each point's block indices increasing
     rows[np.arange(degrees.max()) < degrees[:, None]] = np.nonzero(real)[0][np.argsort(points, kind="stable")]
     return rows, degrees
@@ -197,7 +199,7 @@ def dual_design(D: IncidenceStructure) -> IncidenceStructure:
     points of D therefore yield repeated dual blocks, preserving multiset
     structure.
     """
-    rows, degrees = _incidence_rows(D)
+    rows, degrees = _incidence_rows(D.rows, D.v)
     if not degrees.all():
         raise ValueError("point %d lies in no block; dual undefined" % np.argmin(degrees))
     return IncidenceStructure._trusted(D.b, rows)
@@ -232,7 +234,7 @@ def reduce_design(D: IncidenceStructure, params: DesignParams = None) -> Reduced
     """
     if params is None:
         params = validate_1design(D)
-    rank, first = lex_rank(_incidence_rows(D)[0])
+    rank, first = lex_rank(_incidence_rows(D.rows, D.v)[0])
     n = len(first)
     class_of = np.argsort(np.argsort(first))[rank]
     sizes = _distinct(np.bincount(class_of))

@@ -603,10 +603,21 @@ def faithfulness_check(G, induce, samples: int = 100, seed: int = 0) -> bool:
 # -- colour refinement by structured-row ranking, the reference for _Search.refine
 
 
+def table_structure(search):
+    """The search's distinct blocks, in its BlockTable's order, as a structure
+    that incidence_lists reads."""
+    rows = search.table.rows.tolist()
+    return SimpleNamespace(v=search.v, blocks=[tuple(p for p in row if p < search.v) for row in rows])
+
+
 def refine_structured(search, pcolor, bcolor):
     """The automorphism search's colour refinement as it ranked signature rows
     with np.unique(axis=0): returns (pcolor, bcolor, invariant) like
-    _Search.refine, without counting a node."""
+    _Search.refine, without counting a node. Each point's blocks come from
+    incidence_lists, not from the search."""
+    through = incidence_lists(table_structure(search))
+    pt_idx = np.repeat(np.arange(search.v), [len(blks) for blks in through])
+    blk_idx = np.array([i for blks in through for i in blks], dtype=np.int64)
     pcolor = np.unique(pcolor, return_inverse=True)[1].ravel()
     bcolor = np.unique(bcolor, return_inverse=True)[1].ravel()
     ncp, ncb = pcolor.max() + 1, bcolor.max() + 1
@@ -616,7 +627,7 @@ def refine_structured(search, pcolor, bcolor):
         ub, bcolor = np.unique(sig, axis=0, return_inverse=True)
         bcolor = bcolor.ravel()
         counts = np.zeros((search.v, len(ub)), dtype=np.int64)
-        np.add.at(counts, (search.pt_idx, bcolor[search.blk_idx]), 1)
+        np.add.at(counts, (pt_idx, bcolor[blk_idx]), 1)
         sig = np.column_stack([pcolor, counts])
         up, pcolor = np.unique(sig, axis=0, return_inverse=True)
         pcolor = pcolor.ravel()

@@ -21,7 +21,7 @@ from designforge.autsearch import (
 )
 from designforge.casestudies import mathieu_design
 from designforge.construct import coset_action, method1_design, method2_design
-from designforge.design import IncidenceStructure, dual_design, reduce_design
+from designforge.design import IncidenceStructure, _incidence_rows, dual_design, reduce_design
 from designforge.group import (
     ElementTable,
     RowIndex,
@@ -37,9 +37,11 @@ from oracles import (
     bfs_orbits,
     fixes_every_block_by_sets,
     image_indices,
+    incidence_lists,
     is_automorphism_by_multiset,
     refine_structured,
     scalar_orbit,
+    table_structure,
 )
 
 RAGGED = IncidenceStructure(
@@ -174,6 +176,24 @@ def test_refine_matches_structured_oracle_on_random_structures(data):
     for i in range(len(new_invs)):
         for j in range(len(new_invs)):
             assert (new_invs[i] == new_invs[j]) == (old_invs[i] == old_invs[j])
+
+
+@seed(27)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_search_incidence_matches_block_lists(data):
+    # the search's incidence index (design._incidence_rows over its block
+    # table): each point's blocks in increasing order, padded with nb to the
+    # most blocks any point meets, on ragged and repeated blocks and points
+    # in no block
+    search = _Search(_drawn_structure(data), budget=1)
+    through = incidence_lists(table_structure(search))
+    degrees = [len(blks) for blks in through]
+    assert search.incidence.shape == (search.v, search.rmax)
+    assert search.rmax == max(degrees)
+    for row, blks in zip(search.incidence.tolist(), through):
+        assert row == blks + [search.nb] * (search.rmax - len(blks))
+    assert _incidence_rows(search.table.rows, search.v)[1].tolist() == degrees
 
 
 @seed(21)
