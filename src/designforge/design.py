@@ -182,13 +182,24 @@ def _incidence_rows(block_rows, v):
     """Per point of [0, v), the indices of the block rows through it in
     increasing order, as rows padded with len(block_rows); and the number of
     blocks through each point. The one derivation of each point's blocks, for
-    dual_design, reduce_design and the automorphism search (autsearch._Search)."""
-    real = block_rows < v
-    points = block_rows[real]
+    dual_design, reduce_design and the automorphism search (autsearch._Search).
+    Each sorted incidence's block comes from its position in the rows, by
+    division when no row is padded, so beside the result it holds one int64
+    array of the incidences, and copies the points only for padded rows."""
+    sizes = (block_rows < v).sum(axis=1)
+    full = (sizes == block_rows.shape[1]).all()
+    points = block_rows.ravel() if full else block_rows[block_rows < v]
     degrees = np.bincount(points, minlength=v)
-    rows = np.full((v, degrees.max()), len(block_rows), dtype=np.int64)
     # a stable sort by point keeps each point's block indices increasing
-    rows[np.arange(degrees.max()) < degrees[:, None]] = np.nonzero(real)[0][np.argsort(points, kind="stable")]
+    order = np.argsort(points, kind="stable")
+    del points
+    if full:
+        order //= block_rows.shape[1]
+    else:
+        order = np.searchsorted(np.cumsum(sizes), order, side="right")
+    slots = np.arange(degrees.max()) < degrees[:, None]
+    rows = np.full(slots.shape, len(block_rows), dtype=np.int64)
+    rows[slots] = order
     return rows, degrees
 
 
@@ -245,8 +256,9 @@ def reduce_design(D: IncidenceStructure, params: DesignParams = None) -> Reduced
         raise PartitionViolation("class size %d does not divide k=%d" % (size, params.k))
     # each class lies whole in the blocks it meets, so a block's classes,
     # sorted with the pad (class n) last, repeat each class size times
-    qrows = np.sort(np.append(class_of, n)[D.rows], axis=1)[:, ::size]
-    quotient = IncidenceStructure._trusted(n, np.ascontiguousarray(qrows))
+    qrows = np.append(class_of, n)[D.rows]
+    qrows.sort(axis=1)
+    quotient = IncidenceStructure._trusted(n, np.ascontiguousarray(qrows[:, ::size]))
     qparams = validate_1design(quotient)
     if (qparams.v, qparams.k, qparams.lam) != (params.v // size, params.k // size, params.lam):
         raise PartitionViolation("quotient parameters disagree with reduction")

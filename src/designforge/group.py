@@ -611,8 +611,13 @@ def _row_keys(rows):
     """The bytes of each row of a 2-D array."""
     if not rows.shape[1]:
         return [b""] * len(rows)
+    return _void(rows).tolist()
+
+
+def _void(rows):
+    """The rows of a 2-D array as one np.void item each, of the row's bytes."""
     rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def lex_rank(rows):
@@ -620,12 +625,20 @@ def lex_rank(rows):
     and the index of the first row of each rank.
 
     Each row is ranked as one np.void item of its big-endian 8-byte words:
-    big-endian bytes compare as the numbers do, so a 1-D np.unique orders
-    the items as the rows, lexicographically."""
-    rows = np.ascontiguousarray(rows, dtype=">u8")
-    keys = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
-    _, first, rank = np.unique(keys, return_index=True, return_inverse=True)
-    return rank.ravel(), first
+    big-endian bytes compare as the numbers do, so one stable argsort of the
+    items orders them as the rows, lexicographically. A rank steps up where
+    a sorted row differs from the one before: np.unique's rule, without its
+    copy of the keys and its array of the distinct rows."""
+    perm = np.argsort(_void(np.ascontiguousarray(rows, dtype=">u8")), kind="stable")
+    # equal rows have equal bytes in any byte order, so the steps are read
+    # off the rows themselves, once the big-endian copy is gone
+    keys = _void(np.asarray(rows)[perm])
+    step = np.ones(len(keys), dtype=bool)
+    step[1:] = keys[1:] != keys[:-1]
+    del keys
+    rank = np.empty_like(perm)
+    rank[perm] = np.cumsum(step) - 1
+    return rank, perm[step]
 
 
 class RowIndex:

@@ -1,15 +1,18 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from designforge.casestudies import mathieu_design
 from designforge.design import (
     DesignParams,
     IncidenceStructure,
+    _incidence_rows,
     dual_design,
     read_design,
     reduce_design,
@@ -295,3 +298,43 @@ def test_rows_match_tuple_oracles():
             seen[lam[0]] += 1
     met = {"repeated blocks", "ragged", "twins", NonUniformBlockSize, NonUniformReplication, NotTDesign}
     assert met | set(_CASES) <= set(+seen), seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda used: st.tuples(
+            st.integers(used, used + 2),  # points past `used` lie in no block
+            st.lists(st.lists(st.integers(0, used - 1), min_size=1, max_size=used, unique=True), min_size=1, max_size=10),
+        )
+    )
+)
+@example((7, FANO.blocks))  # every row full: positions divided by k
+@example((5, [(0, 1), (2, 3), (0, 1)]))  # full rows, a repeated block, a point in no block
+@example((4, [(0, 1, 2), (3,), (1, 3)]))  # padded rows: positions searched in the row ends
+def test_incidence_rows_match_block_lists(drawn):
+    # each point's blocks in increasing order, padded with the number of
+    # blocks to the most blocks any point meets, and each point's degree
+    v, blocks = drawn
+    D = IncidenceStructure(v, blocks)
+    rows, degrees = _incidence_rows(D.rows, D.v)
+    through = incidence_lists(D)
+    assert degrees.tolist() == [len(blks) for blks in through]
+    assert rows.shape == (v, max(degrees))
+    for row, blks in zip(rows.tolist(), through):
+        assert row == blks + [D.b] * (rows.shape[1] - len(blks))
+
+
+def test_reduce_design_peak_memory():
+    # the I_x reduction makes no whole-array copy it can do without: on the
+    # (22,3) class design it peaks, under tracemalloc, at no more than four
+    # times its input rows
+    D = mathieu_design(22, 3).design
+    reduce_design(D)
+    tracemalloc.start()
+    try:
+        reduce_design(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * D.rows.nbytes

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -229,6 +229,9 @@ def test_point_signatures_rank_alike(data):
         )
     )
 )
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.array([[5, 2**62]]))
+@example(np.full((4, 2), 7))
 def test_lex_rank_matches_unique_rows(rows):
     rank, first = lex_rank(rows)
     uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
